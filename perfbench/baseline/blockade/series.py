@@ -1,0 +1,538 @@
+"""Exact Taylor coefficients of observable expectation values.
+
+Starting from the fully polarised (all-ground) state, the expectation value of
+any observable built from operator words is an entire function of time whose
+Taylor coefficients are exact rationals: the n-th coefficient is
+``i^n <ad^n(A)> / n!`` with ``ad`` the nested commutator against the drive
+Hamiltonian.  This module computes those coefficients on rings, open chains
+and the infinite chain, together with two pieces of metadata:
+
+- the largest order certified *universal* (independent of the lattice size)
+  on a ring, and
+- the per-order boundary deficits of an open chain, where the j-th density
+  coefficient takes the form ``c_j * (1 - deficit_j / L)``.
+
+Parity pins half the series to zero: a word with an even number of single
+letters has an even expectation in t, so odd orders vanish identically.  Zero
+orders are stored explicitly, which keeps those parity statements directly
+assertable.
+
+The stored coefficient at order n is the real rational obtained by folding the
+``i^n`` phase into a sign, ``(-1)^(n//2)``.  For self-adjoint observables the
+odd orders vanish and the stored values are literally the Taylor coefficients
+of the (real) expectation value; for words with an odd number of single
+letters the odd-order contributions carry one leftover factor of i, recorded
+by the ``odd_orders_imaginary`` flag.
+
+Everything here is stateless and deterministic; per-site and per-order work
+may be distributed freely without changing any output bit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+
+from .words import (
+    NUM,
+    DEFAULT_ORDER_BUDGET,
+    AdOrderBudgetError,
+    ModelSpec,
+    OperatorSum,
+    Word,
+    canonicalize,
+    commutator_H,
+    commutator_vacuum_expectation,
+    infinite_chain,
+    line,
+    make_word,
+    single_count,
+    vacuum_expectation,
+    word_length,
+)
+
+__all__ = [
+    "ObservableSpec",
+    "density",
+    "local_number",
+    "correlation",
+    "general_word",
+    "SeriesCoefficients",
+    "density_coefficients",
+    "correlation_coefficients",
+    "word_coefficients",
+    "universality_threshold",
+    "boundary_deficits",
+    "eval_series",
+    "coefficient_records",
+    "records_to_csv",
+]
+
+
+# ---------------------------------------------------------------------------
+# observables
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ObservableSpec:
+    """What to measure: the per-site excitation density, a single local
+    counter n_k, a pair counter n_k n_{k+d}, or an arbitrary word."""
+
+    kind: str  # "density" | "local_number" | "correlation" | "word"
+    site: int | None = None
+    distance: int | None = None
+    word: Word | None = None
+
+    def __str__(self) -> str:
+        if self.kind == "density":
+            return "density"
+        if self.kind == "local_number":
+            return f"number[{self.site}]"
+        if self.kind == "correlation":
+            return f"correlation[d={self.distance}]"
+        from .words import _SYMBOL  # avoid a public re-export just for printing
+
+        body = " ".join(f"{s}:{_SYMBOL[a]}" for s, a in self.word)
+        return f"word[{body or '1'}]"
+
+
+def density() -> ObservableSpec:
+    """Mean number of excitations per site."""
+    return ObservableSpec("density")
+
+
+def local_number(site: int) -> ObservableSpec:
+    """The excitation counter of one site."""
+    return ObservableSpec("local_number", site=site)
+
+
+def correlation(distance: int, site: int | None = None) -> ObservableSpec:
+    """The pair counter n_k n_{k+d}; the base site defaults per topology."""
+    return ObservableSpec("correlation", site=site, distance=distance)
+
+
+def general_word(word: Word) -> ObservableSpec:
+    return ObservableSpec("word", word=word)
+
+
+def correlation_base_site(obs: ObservableSpec, model: ModelSpec) -> int:
+    """Base site of a pair counter.  Translation invariance makes the choice
+    irrelevant on rings and the infinite chain; on an open chain the pair is
+    centred unless a site was given explicitly."""
+    if obs.site is not None:
+        return obs.site
+    if model.topology == "line":
+        return max(1, (model.size - obs.distance) // 2 + 1)
+    return 1
+
+
+def _validate_correlation(obs: ObservableSpec, model: ModelSpec) -> None:
+    d = obs.distance
+    lam = model.blockade_range
+    if d is None or d < 1:
+        raise ValueError("correlation distance must be a positive integer")
+    if model.topology == "ring":
+        cyc = min(d % model.size, model.size - d % model.size)
+        if cyc <= lam:
+            raise ValueError(
+                f"pair distance {d} lies within the blockade range {lam} on a "
+                f"ring of {model.size} sites; the pair counter is identically zero"
+            )
+    elif d <= lam:
+        raise ValueError(
+            f"pair distance {d} lies within the blockade range {lam}; "
+            "the pair counter is identically zero"
+        )
+    if model.topology == "line":
+        k = correlation_base_site(obs, model)
+        if k < 1 or k + d > model.size:
+            raise ValueError(f"pair ({k}, {k + d}) does not fit on {model.size} sites")
+
+
+def observable_operator(obs: ObservableSpec, model: ModelSpec) -> OperatorSum:
+    """The word operator measured by ``obs`` (one representative site for the
+    per-site density, which is handled by averaging where it matters)."""
+    if obs.kind == "density":
+        site = 0 if model.topology == "infinite" else 1
+        return OperatorSum({((site, NUM),): 1})
+    if obs.kind == "local_number":
+        return OperatorSum({((obs.site, NUM),): 1})
+    if obs.kind == "correlation":
+        _validate_correlation(obs, model)
+        k = correlation_base_site(obs, model)
+        return canonicalize(
+            OperatorSum({make_word({k: NUM, k + obs.distance: NUM}): 1}), model
+        )
+    if obs.kind == "word":
+        return canonicalize(OperatorSum({obs.word: 1}), model)
+    raise ValueError(f"unknown observable kind {obs.kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# coefficient containers
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SeriesCoefficients:
+    """Exact Taylor data of one observable on one lattice.
+
+    ``values[n]`` is the stored rational for order n = 0..max_order (the i^n
+    phase folded in as described in the module docstring), zeros included.
+    ``universal_up_to`` is the largest order certified independent of the
+    lattice size; ``None`` means every computed order (infinite chain).
+    """
+
+    observable: ObservableSpec
+    model: ModelSpec
+    values: tuple
+    universal_up_to: int | None = None
+    odd_orders_imaginary: bool = False
+
+    @property
+    def max_order(self) -> int:
+        return len(self.values) - 1
+
+    def coefficient(self, order: int):
+        return self.values[order]
+
+    def even_values(self) -> list:
+        """Coefficients of t^2, t^4, ... — the natural layout for even series
+        such as the density and pair counters."""
+        return [self.values[n] for n in range(2, self.max_order + 1, 2)]
+
+    def is_universal(self, order: int) -> bool:
+        if self.universal_up_to is None:
+            return True
+        return order <= self.universal_up_to
+
+
+def _phase_sign(order: int) -> int:
+    return -1 if (order // 2) % 2 else 1
+
+
+def _expectation_series(
+    A: OperatorSum, model: ModelSpec, max_order: int, order_budget: int
+) -> list[Fraction]:
+    """Stored coefficients of <A(t)> through t^max_order for one seed operator.
+
+    Iterates the nested commutator once per order, but takes each order's
+    vacuum expectation from the *previous* operator through the cheap
+    single-letter contraction, so the most expensive operator is never built.
+    """
+    if max_order - 1 > order_budget:
+        raise AdOrderBudgetError(max_order - 1, order_budget, 0)
+    vals = [Fraction(vacuum_expectation(A))]
+    cur = A
+    for order in range(1, max_order + 1):
+        exp = commutator_vacuum_expectation(cur, model)
+        vals.append(Fraction(_phase_sign(order) * exp, factorial(order)))
+        if order < max_order:
+            cur = commutator_H(cur, model)
+    return vals
+
+
+# ---------------------------------------------------------------------------
+# open-chain site bookkeeping
+# ---------------------------------------------------------------------------
+#
+# The per-site expectation on an open chain depends on the site only through
+# its distance to the nearest end once the other end is out of causal reach of
+# the commutator support.  Site work is therefore memoised in three tiers:
+# deep-bulk sites reuse the infinite-chain value, single-boundary sites reuse
+# an edge value keyed by the distance to that end, and only sites feeling both
+# ends (small chains) are computed on the actual chain.
+
+
+def _support_margin(max_order: int, lam: int) -> int:
+    # Each commutator dilates the word support by at most 2*lam per side.
+    return 2 * max_order * lam
+
+
+@lru_cache(maxsize=None)
+def _bulk_site_series(lam: int, max_order: int, order_budget: int) -> tuple:
+    model = infinite_chain(lam)
+    return tuple(
+        _expectation_series(OperatorSum({((0, NUM),): 1}), model, max_order, order_budget)
+    )
+
+
+@lru_cache(maxsize=None)
+def _edge_site_series(lam: int, k: int, max_order: int, order_budget: int) -> tuple:
+    # Semi-infinite chain emulated by an open chain long enough that the far
+    # end stays outside the commutator support.
+    probe = line(k + _support_margin(max_order, lam), lam)
+    return tuple(
+        _expectation_series(OperatorSum({((k, NUM),): 1}), probe, max_order, order_budget)
+    )
+
+
+@lru_cache(maxsize=None)
+def _exact_site_series(lam: int, L: int, k: int, max_order: int, order_budget: int) -> tuple:
+    model = line(L, lam)
+    return tuple(
+        _expectation_series(OperatorSum({((k, NUM),): 1}), model, max_order, order_budget)
+    )
+
+
+def _line_site_series(L: int, lam: int, k: int, max_order: int, order_budget: int) -> tuple:
+    margin = _support_margin(max_order, lam)
+    left = k - 1
+    right = L - k
+    if left >= margin and right >= margin:
+        return _bulk_site_series(lam, max_order, order_budget)
+    if right >= margin:
+        return _edge_site_series(lam, k, max_order, order_budget)
+    if left >= margin:
+        return _edge_site_series(lam, L + 1 - k, max_order, order_budget)
+    return _exact_site_series(lam, L, k, max_order, order_budget)
+
+
+# ---------------------------------------------------------------------------
+# coefficient computations
+# ---------------------------------------------------------------------------
+
+
+def density_coefficients(
+    model: ModelSpec, jmax: int, order_budget: int = DEFAULT_ORDER_BUDGET
+) -> SeriesCoefficients:
+    """Exact density coefficients through t^(2*jmax).
+
+    Rings and the infinite chain are translation invariant, so a single site
+    carries the answer.  An open chain averages over all sites; reflection
+    symmetry halves the work and the tiered site memo (bulk / edge / exact)
+    collapses the rest.
+    """
+    max_order = 2 * jmax
+    if model.topology in ("ring", "infinite"):
+        seed = observable_operator(density(), model)
+        vals = _expectation_series(canonicalize(seed, model), model, max_order, order_budget)
+    else:
+        L = model.size
+        lam = model.blockade_range
+        totals = [Fraction(0)] * (max_order + 1)
+        for k in range(1, L // 2 + 1):
+            site_vals = _line_site_series(L, lam, k, max_order, order_budget)
+            for n, v in enumerate(site_vals):
+                totals[n] += 2 * v
+        if L % 2:
+            mid = (L + 1) // 2
+            site_vals = _line_site_series(L, lam, mid, max_order, order_budget)
+            for n, v in enumerate(site_vals):
+                totals[n] += v
+        vals = [v / L for v in totals]
+    return SeriesCoefficients(
+        observable=density(),
+        model=model,
+        values=tuple(vals),
+        universal_up_to=_universal_order_limit(model, density()),
+    )
+
+
+def correlation_coefficients(
+    model: ModelSpec, distance: int, jmax: int, order_budget: int = DEFAULT_ORDER_BUDGET
+) -> SeriesCoefficients:
+    """Exact pair-counter coefficients <n_k(t) n_{k+d}(t)> through t^(2*jmax).
+
+    Distances inside the blockade range are rejected: the pair counter is
+    identically zero there."""
+    obs = correlation(distance)
+    seed = observable_operator(obs, model)
+    vals = _expectation_series(seed, model, 2 * jmax, order_budget)
+    return SeriesCoefficients(
+        observable=obs,
+        model=model,
+        values=tuple(vals),
+        universal_up_to=_universal_order_limit(model, obs),
+    )
+
+
+def word_coefficients(
+    model: ModelSpec, A: Word, jmax: int, order_budget: int = DEFAULT_ORDER_BUDGET
+) -> SeriesCoefficients:
+    """Exact coefficients of <A(t)> through t^jmax for an arbitrary word.
+
+    Only orders with the parity of the word's single-letter count survive;
+    the rest are exact zeros.  When that count is odd the odd orders carry a
+    leftover factor of i on top of the stored rational."""
+    obs = general_word(A)
+    seed = observable_operator(obs, model)
+    vals = _expectation_series(seed, model, jmax, order_budget)
+    return SeriesCoefficients(
+        observable=obs,
+        model=model,
+        values=tuple(vals),
+        universal_up_to=_universal_order_limit(model, obs),
+        odd_orders_imaginary=bool(single_count(A) % 2),
+    )
+
+
+# ---------------------------------------------------------------------------
+# universality certificates
+# ---------------------------------------------------------------------------
+
+
+def universality_threshold(model: ModelSpec, observable: ObservableSpec) -> int:
+    """Largest certified-universal index of an observable's series on a ring.
+
+    The certificate counts commutator reach: on a ring of L sites with
+    blockade range lam, the density coefficient of t^(2j) is size-independent
+    for j <= (L-1)/lam; a pair counter at distance d (nearest-neighbour
+    blockade) for j <= L-d; a general word of length ell for t-powers
+    n <= (L-ell)/(2*lam).  Density and pair counters are indexed by j (the
+    power of t^2), general words by the power of t.  Open chains have no
+    strict universality and return 0.
+    """
+    if model.topology == "infinite":
+        raise ValueError("every order is universal on the infinite chain")
+    if model.topology == "line":
+        return 0
+    L = model.size
+    lam = model.blockade_range
+    if observable.kind in ("density", "local_number"):
+        return (L - 1) // lam
+    if observable.kind == "correlation":
+        d = observable.distance
+        if lam == 1:
+            return L - d
+        # fall back to the general-word certificate, re-indexed to t^(2j)
+        return (L - (d + 1)) // (2 * lam) // 2
+    ell = max(word_length(observable.word), 1)
+    return (L - ell) // (2 * lam)
+
+
+def _universal_order_limit(model: ModelSpec, observable: ObservableSpec) -> int | None:
+    """Certified-universal cutoff as a power of t (None = all orders)."""
+    if model.topology == "infinite":
+        return None
+    if model.topology == "line":
+        return 0
+    thr = universality_threshold(model, observable)
+    if observable.kind == "word":
+        return thr
+    # even series: powers 2..2*thr certified, odd powers below are exact zeros
+    return 2 * thr + 1
+
+
+# ---------------------------------------------------------------------------
+# open-chain boundary deficits
+# ---------------------------------------------------------------------------
+
+
+def _deficit(c_finite: Fraction, c_universal: Fraction, L: int) -> Fraction | None:
+    if c_universal == 0:
+        return None
+    return L * (1 - c_finite / c_universal)
+
+
+def boundary_deficits(
+    jmax: int,
+    L_probe: int = 12,
+    blockade_range: int = 1,
+    order_budget: int = DEFAULT_ORDER_BUDGET,
+) -> list[Fraction | None]:
+    """Size-scaled boundary deficits of the open-chain density coefficients.
+
+    On an open chain the j-th density coefficient takes the form
+    ``c_j * (1 - deficit_j / L)`` with a deficit that stops depending on L
+    once the chain comfortably exceeds the commutator reach.  The deficit is
+    extracted at two probe sizes (``L_probe`` and ``L_probe + 2``) and the two
+    values must agree exactly; a mismatch means the probe is too small and
+    raises.  The first deficit is 0 (the t^2 coefficient is geometry-free);
+    an order with vanishing universal coefficient has no well-defined deficit
+    and reports ``None``.
+    """
+    uni = density_coefficients(infinite_chain(blockade_range), jmax, order_budget)
+    out: list[Fraction | None] = []
+    probes = (L_probe, L_probe + 2)
+    per_probe = [
+        density_coefficients(line(L, blockade_range), jmax, order_budget) for L in probes
+    ]
+    for j in range(1, jmax + 1):
+        c_uni = uni.coefficient(2 * j)
+        qs = [
+            _deficit(per_probe[i].coefficient(2 * j), c_uni, probes[i])
+            for i in range(2)
+        ]
+        if qs[0] != qs[1]:
+            raise ValueError(
+                f"boundary deficit at order {j} still depends on the probe size "
+                f"({probes[0]} vs {probes[1]}); increase L_probe"
+            )
+        out.append(qs[0])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# evaluation and export
+# ---------------------------------------------------------------------------
+
+
+def eval_series(
+    coeffs: SeriesCoefficients, t: float, truncation: int | None = None
+) -> float:
+    """Evaluate the stored series at time ``t`` by Horner's rule.
+
+    ``truncation`` is the highest power of t included (default: everything
+    computed).  Each rational is converted to float at full precision before
+    it enters the recurrence.  For observables whose odd orders carry an i
+    phase this evaluates the stored real series.
+    """
+    n_max = coeffs.max_order if truncation is None else truncation
+    if n_max > coeffs.max_order:
+        raise ValueError(
+            f"truncation {n_max} exceeds the {coeffs.max_order} available orders"
+        )
+    acc = 0.0
+    for n in range(n_max, -1, -1):
+        acc = acc * t + float(coeffs.values[n])
+    return acc
+
+
+def coefficient_records(coeffs: SeriesCoefficients) -> list[dict]:
+    """One JSON-ready record per stored order."""
+    model = coeffs.model
+    out = []
+    for n in range(coeffs.max_order + 1):
+        v = Fraction(coeffs.values[n])
+        out.append(
+            {
+                "observable": str(coeffs.observable),
+                "topology": model.topology,
+                "L": model.size,
+                "lambda_b": model.blockade_range,
+                "order": n,
+                "numerator": v.numerator,
+                "denominator": v.denominator,
+                "universal": coeffs.is_universal(n),
+            }
+        )
+    return out
+
+
+def records_to_csv(records: list[dict], decimal: bool = False) -> list[str]:
+    """CSV lines mirroring `coefficient_records` (no header comment)."""
+    cols = ["observable", "topology", "L", "lambda_b", "order", "value", "universal"]
+    lines = [",".join(cols)]
+    for r in records:
+        if decimal:
+            value = repr(r["numerator"] / r["denominator"])
+        else:
+            value = f"{r['numerator']}/{r['denominator']}"
+        lines.append(
+            ",".join(
+                [
+                    r["observable"],
+                    r["topology"],
+                    "" if r["L"] is None else str(r["L"]),
+                    str(r["lambda_b"]),
+                    str(r["order"]),
+                    value,
+                    str(r["universal"]).lower(),
+                ]
+            )
+        )
+    return lines
