@@ -104,6 +104,23 @@ def dumps_matrix(matrix: SparseIntMatrix) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _finite_size(model: ModelSpec) -> int:
+    """Number of sites of a lattice that has a blockade basis.
+
+    The infinite chain has none, and rings whose blockade range covers the
+    whole ring are rejected rather than silently reduced.
+    """
+    if model.topology == "infinite":
+        raise ValueError("infinite chain has no finite basis")
+    L, lam = model.size, model.blockade_range
+    if model.topology == "ring" and lam >= L:
+        raise ValueError(
+            f"blockade range {lam} covers the whole ring of {L} sites; "
+            "only the all-ground and single-excitation states survive"
+        )
+    return L
+
+
 def blockade_dimension(model: ModelSpec) -> int:
     """Dimension of the blockade subspace, by exact integer recursion.
 
@@ -112,19 +129,13 @@ def blockade_dimension(model: ModelSpec) -> int:
     the trace of the transfer matrix over the lam-site sliding window, whose
     states are 'window empty' or 'single excitation, aged p steps'.
     """
+    L = _finite_size(model)
     lam = model.blockade_range
-    if model.topology == "infinite":
-        raise ValueError("infinite chain has no finite basis")
-    L = model.size
     if model.topology == "line":
         d = {i: 1 for i in range(-lam, 1)}
         for i in range(1, L + 1):
             d[i] = d[i - 1] + d[i - lam - 1]
         return d[L]
-    if lam >= L:
-        raise ValueError(
-            f"blockade range {lam} on a ring of {L} sites leaves only trivial states"
-        )
     dim_t = lam + 1
     T = [[0] * dim_t for _ in range(dim_t)]
     # state 0: window empty; state p in 1..lam: one excitation seen p-1 steps ago
@@ -203,18 +214,10 @@ def build_basis(model: ModelSpec) -> BlockadeBasis:
     Open chains with nearest-neighbour blockade use the recursive ordering
     (all-ground state first, dimension Fibonacci); every other case
     enumerates admissible bitsets in ascending order, which also puts the
-    all-ground state first.  Rings whose blockade range reaches every other
-    site are rejected rather than silently reduced.
+    all-ground state first.  The lattice domain is checked by `_finite_size`.
     """
+    L = _finite_size(model)
     lam = model.blockade_range
-    if model.topology == "infinite":
-        raise ValueError("infinite chain has no finite basis")
-    L = model.size
-    if model.topology == "ring" and lam >= L:
-        raise ValueError(
-            f"blockade range {lam} covers the whole ring of {L} sites; "
-            "only the all-ground and single-excitation states survive"
-        )
     if model.topology == "line" and lam == 1:
         states = tuple(_recursion_states_line_nn(L))
     else:

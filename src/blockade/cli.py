@@ -28,7 +28,7 @@ from .series import (
     records_to_csv,
     universality_threshold,
 )
-from .words import ModelSpec, infinite_chain, line, ring
+from .words import DEFAULT_ORDER_BUDGET, ModelSpec, infinite_chain, line, ring
 
 __all__ = ["main"]
 
@@ -185,7 +185,7 @@ def cmd_simulate(args) -> int:
         if jmax is None:
             ref = ring(args.L, args.lambda_b)
             jmax = universality_threshold(ref, density())
-        if jmax > 6:  # symbolic budget ends at order 6; the oracle carries on
+        if jmax > DEFAULT_ORDER_BUDGET // 2:  # past the symbolic budget the oracle carries on
             # a ring of lambda*jmax + 1 sites is size-free through order jmax
             orc = taylor_oracle(
                 ring(args.lambda_b * jmax + 1, args.lambda_b), density(), jmax

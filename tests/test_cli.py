@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import blockade.cli
 import blockade.words
 from blockade.cli import main
 from blockade import verify
@@ -114,6 +115,27 @@ class TestSimulate:
         )
         assert rc == 0
         assert "universal_5" in out  # threshold of a 6-site ring
+
+    # the universal overlay of an 8-site ring on t = 0, 0.5, ..., 2; jmax 6 is
+    # the last order within the symbolic budget (DEFAULT_ORDER_BUDGET // 2),
+    # jmax 7 the first the integer oracle computes
+    OVERLAY = {
+        6: ["0.0", "0.19585152520073784", "0.38725198412698414",
+            "-2.1086108616420205", "-102.67682539682542"],
+        7: ["0.0", "0.1958523815979451", "0.40128319597069595",
+            "1.9875104323586235", "127.21054945054942"],
+    }
+
+    @pytest.mark.parametrize("jmax", [6, 7])
+    def test_overlay_bytes_across_route_switch(self, capsys, monkeypatch, jmax):
+        argv = (
+            "simulate", "--topology", "ring", "--L", "8",
+            "--t-steps", "5", "--overlay-universal", "--jmax", str(jmax),
+        )
+        _, out = run_cli(capsys, *argv)
+        assert [r[f"universal_{jmax}"] for r in csv_rows(out)] == self.OVERLAY[jmax]
+        monkeypatch.setattr(blockade.cli, "DEFAULT_ORDER_BUDGET", 0)  # oracle throughout
+        assert run_cli(capsys, *argv)[1] == out
 
     def test_window_report(self, capsys):
         rc, out = run_cli(

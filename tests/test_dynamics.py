@@ -6,8 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from blockade import bounds
+from blockade import bounds, dynamics
+from blockade.basis import (
+    blockade_dimension,
+    build_basis,
+    hamiltonian_matrix,
+    observable_matrix,
+)
 from blockade.dynamics import (
     DimensionBudgetError,
     evolve,
@@ -19,8 +26,25 @@ from blockade.dynamics import (
     taylor_oracle,
     universal_window,
 )
-from blockade.series import correlation, density, density_coefficients, local_number
-from blockade.words import line, ring
+from blockade.series import (
+    correlation,
+    density,
+    density_coefficients,
+    general_word,
+    local_number,
+)
+from blockade.words import RAISE, line, make_word, ring
+
+
+@pytest.fixture
+def cache_size(monkeypatch):
+    """Make any basis construction fail; return the basis cache size before."""
+
+    def no_basis(model):
+        raise AssertionError(f"built a basis for {model} before refusing")
+
+    monkeypatch.setattr(dynamics, "build_basis", no_basis)
+    return dynamics._basis_and_matrices.cache_info().currsize
 
 
 class TestEvolve:
@@ -49,15 +73,56 @@ class TestEvolve:
         cap = (model.size // (model.blockade_range + 1)) / model.size
         assert all(-1e-12 <= v <= cap + 1e-12 for v in vals)
 
-    def test_solver_choice_is_irrelevant(self):
-        a = evolve(ring(9), density(), [0.7, 1.9], solver="numpy").values
-        b = evolve(ring(9), density(), [0.7, 1.9], solver="scipy").values
-        assert max(abs(x - y) for x, y in zip(a, b)) < 1e-10
+    def test_matches_matrix_exponential(self):
+        # an independent propagator: expm(-iHt) applied to the vacuum, with the
+        # observable as a dense matrix; the word changes the excitation number
+        # by two, so its expectation is real though its matrix is not diagonal
+        times = [0.0, 0.7, 1.9]
+        pair_raise = general_word(make_word({3: RAISE, 5: RAISE}))
+        for model in (ring(9), line(8)):
+            basis = build_basis(model)
+            drive = hamiltonian_matrix(model, basis).to_dense(float)
+            states = [scipy.linalg.expm(-1j * t * drive)[:, 0] for t in times]
+            for obs in (density(), local_number(2), correlation(2), pair_raise):
+                matrix = observable_matrix(model, basis, obs).to_dense(float)
+                scale = 1 / model.size if obs.kind == "density" else 1.0
+                want = [complex(np.vdot(psi, matrix @ psi)) * scale for psi in states]
+                got = evolve(model, obs, times).values
+                assert max(abs(w.imag) for w in want) < 1e-12
+                assert max(abs(g - w.real) for g, w in zip(got, want)) < 1e-12
 
-    def test_dimension_budget_refusal(self):
+    def test_blocks_match_single_points(self):
+        # a grid spanning three blocks of the state product, against one
+        # product per point
+        times = np.linspace(0.0, 9.0, 2 * dynamics._BLOCK_POINTS + 3)
+        whole = evolve(ring(9), correlation(2), times).values
+        single = [evolve(ring(9), correlation(2), [t]).values[0] for t in times]
+        assert max(abs(a - b) for a, b in zip(whole, single)) < 1e-12
+
+    def test_dimension_budget_refusal(self, cache_size):
         with pytest.raises(DimensionBudgetError) as err:
             evolve(line(21), density(), [0.1])
         assert err.value.dimension == 28657
+        assert dynamics._basis_and_matrices.cache_info().currsize == cache_size
+
+    def test_ring_domain_message_is_shared(self):
+        # refusals consult the closed-form dimension before building anything,
+        # so every route must reject an over-covered ring in the same words
+        routes = (
+            blockade_dimension,
+            build_basis,
+            lambda m: evolve(m, density(), [0.5]),
+            lambda m: taylor_oracle(m, density(), 1),
+        )
+        messages = set()
+        for route in routes:
+            with pytest.raises(ValueError) as err:
+                route(ring(3, 3))
+            messages.add(str(err.value))
+        assert messages == {
+            "blockade range 3 covers the whole ring of 3 sites; "
+            "only the all-ground and single-excitation states survive"
+        }
 
     def test_late_time_settles_to_small_fluctuations(self):
         early = evolve(ring(14), density(), np.linspace(0.0, 6.0, 121)).values
@@ -99,6 +164,12 @@ class TestTaylorOracle:
     def test_work_budget_refusal(self):
         with pytest.raises(DimensionBudgetError):
             taylor_oracle(line(20), density(), 100)
+
+    def test_work_budget_refused_before_building(self, cache_size):
+        with pytest.raises(DimensionBudgetError) as err:
+            taylor_oracle(ring(23), density(), 22)
+        assert err.value.dimension == 44 * 64_079
+        assert dynamics._basis_and_matrices.cache_info().currsize == cache_size
 
 
 def correlation_coefficients_even(model, d, jmax):
