@@ -2,13 +2,22 @@
 
 With a hard blockade of range lam, the drive never leaves the subspace of
 occupation states in which no two excited sites sit within lam lattice
-spacings of each other (cyclically on a ring).  On an open chain with
-nearest-neighbour blockade that subspace is Fibonacci-dimensional and carries
-a natural recursive ordering: the basis of L sites is the basis of L-1 sites
-with a ground site appended, followed by the basis of L-2 sites with a
-ground-excited pair appended.  The drive and the total-excitation counter
-then inherit block recursions, which this module implements alongside a
-generic bit-flip construction; the two are cross-checked entry for entry.
+spacings of each other (cyclically on a ring).  Admissible bitsets are grown
+site by site (a new site is ground, or excited when the lam sites before it
+are ground), so building a basis costs memory in proportion to its
+dimension.  On an open chain with nearest-neighbour blockade the subspace is
+Fibonacci-dimensional and carries a natural recursive ordering: the basis of
+L sites is the basis of L-1 sites with a ground site appended, followed by
+the basis of L-2 sites with a ground-excited pair appended.  The drive and
+the total-excitation counter then inherit block recursions, which this
+module implements alongside a generic bit-flip construction.
+
+The vacuum is invariant under the lattice symmetries (site reflection on a
+line, reflections and rotations on a ring), and so is every power of the
+drive applied to it.  `orbit_sector` groups the basis states into orbits
+under that group and writes the drive and an observable in the basis of
+unnormalised orbit sums, where both stay exact integer matrices; the
+integer Taylor oracle runs there.
 
 States are stored as occupation bitsets (bit k-1 set means site k excited,
 so the printed string for the integer 5 on four sites is 1010).  All matrices
@@ -38,10 +47,11 @@ __all__ = [
     "drive_matrix_recursive",
     "total_number_matrix_recursive",
     "cyclic_shift_permutation",
+    "orbit_sector",
     "dumps_matrix",
 ]
 
-_ENUMERATION_LIMIT = 26  # 2^26 bitset sweep; larger lattices use the recursion
+_ENUMERATION_LIMIT = 26  # cap on the enumerated lattices (open nn chains use the recursion)
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +204,26 @@ def _recursion_states_line_nn(L: int) -> list[int]:
     return cur
 
 
-def _admissible_mask(L: int, lam: int, cyclic: bool) -> np.ndarray:
-    """Boolean mask over all 2^L occupations satisfying the blockade."""
-    x = np.arange(1 << L, dtype=np.int64)
-    ok = np.ones(x.shape, dtype=bool)
-    for d in range(1, lam + 1):
-        if d >= L:
-            break
-        shifted = x >> d
-        if cyclic:
-            shifted = shifted | ((x << (L - d)) & ((1 << L) - 1))
-        ok &= (x & shifted) == 0
-    return ok
+def _admissible_states(L: int, lam: int, cyclic: bool) -> list[int]:
+    """Ascending list of the L-site bitsets whose excited sites lie more than
+    ``lam`` apart (cyclically when ``cyclic``).
+
+    Sites are added one at a time: the states of n+1 sites are those of n
+    sites with the new top site ground, followed by those whose top ``lam``
+    sites are ground with the new site excited.  Both halves keep ascending
+    order and every intermediate list is a smaller open chain, so memory
+    stays proportional to the dimension.  Rings then keep the states whose
+    lowest and highest excited sites, the closest pair across the seam, are
+    more than ``lam`` apart around it."""
+    states = [0]
+    for n in range(L):
+        window = ((1 << lam) - 1) << max(n - lam, 0)
+        states += [s | 1 << n for s in states if not s & window]
+    if cyclic:
+        states = [
+            s for s in states if not s or (s & -s).bit_length() + L - s.bit_length() > lam
+        ]
+    return states
 
 
 def build_basis(model: ModelSpec) -> BlockadeBasis:
@@ -225,8 +243,7 @@ def build_basis(model: ModelSpec) -> BlockadeBasis:
             raise ValueError(
                 f"bitset enumeration capped at {_ENUMERATION_LIMIT} sites (asked {L})"
             )
-        mask = _admissible_mask(L, lam, cyclic=model.topology == "ring")
-        states = tuple(int(s) for s in np.nonzero(mask)[0])
+        states = tuple(_admissible_states(L, lam, cyclic=model.topology == "ring"))
     index = {s: i for i, s in enumerate(states)}
     return BlockadeBasis(model=model, states=states, index=index)
 
@@ -249,38 +266,29 @@ def _check_basis(model: ModelSpec, basis: BlockadeBasis) -> None:
         raise ValueError(f"basis built for {basis.model}, asked about {model}")
 
 
+def _flip_neighbours(s: int, masks: list[int]) -> list[int]:
+    """States one drive flip away from ``s``: any excitation lowered, or any
+    ground site raised whose blockade neighbourhood is unexcited."""
+    return [s ^ 1 << k for k, m in enumerate(masks) if s >> k & 1 or not s & m]
+
+
 def hamiltonian_matrix(model: ModelSpec, basis: BlockadeBasis) -> SparseIntMatrix:
     """Matrix of the blockaded drive in the given basis.
 
     The element between two states is 1 exactly when they differ by a single
     flip whose blockade neighbourhood is unexcited; the matrix is symmetric
-    with 0/1 entries.  For open nearest-neighbour chains the result is also
-    rebuilt through the block recursion and the two constructions must agree
-    entry for entry.
+    with 0/1 entries.  For open nearest-neighbour chains acceptance check C8
+    compares it entry for entry with the block recursion.
     """
     _check_basis(model, basis)
     masks = _neighborhood_masks(model)
-    entries: dict = {}
-    for i, s in enumerate(basis.states):
-        for k in range(model.size):
-            if s >> k & 1:
-                continue  # count each edge once, from the less-excited state
-            if s & masks[k]:
-                continue
-            t = s | (1 << k)
-            j = basis.index.get(t)
-            if j is None:
-                continue
-            entries[(i, j)] = 1
-            entries[(j, i)] = 1
-    out = SparseIntMatrix(basis.dimension, entries)
-    if model.topology == "line" and model.blockade_range == 1:
-        if out != drive_matrix_recursive(model.size):
-            raise AssertionError(
-                "bit-flip and recursive drive constructions disagree "
-                f"for an open chain of {model.size} sites"
-            )
-    return out
+    index = basis.index
+    entries = {
+        (i, index[t]): 1
+        for i, s in enumerate(basis.states)
+        for t in _flip_neighbours(s, masks)
+    }
+    return SparseIntMatrix(basis.dimension, entries)
 
 
 def drive_matrix_recursive(L: int) -> SparseIntMatrix:
@@ -367,22 +375,15 @@ def observable_matrix(
     (consumers divide by L); local and pair counters are diagonal indicators;
     a general word maps basis states to basis states or annihilates them, and
     images that leave the subspace are projected to zero rather than flagged.
-    For open nearest-neighbour chains the total counter is cross-checked
-    against its block recursion.
+    For open nearest-neighbour chains acceptance check C8 compares the total
+    counter with its block recursion.
     """
     _check_basis(model, basis)
     dim = basis.dimension
     if obs.kind == "density":
-        out = SparseIntMatrix(
+        return SparseIntMatrix(
             dim, {(i, i): bin(s).count("1") for i, s in enumerate(basis.states)}
         )
-        if model.topology == "line" and model.blockade_range == 1:
-            if out != total_number_matrix_recursive(model.size):
-                raise AssertionError(
-                    "bit-count and recursive total-counter constructions disagree "
-                    f"for an open chain of {model.size} sites"
-                )
-        return out
     if obs.kind == "local_number":
         k = model.canonical_site(obs.site)
         if not model.contains_site(k):
@@ -439,3 +440,58 @@ def cyclic_shift_permutation(basis: BlockadeBasis) -> list[int]:
         shifted = ((s << 1) | (s >> (L - 1))) & mask
         out.append(basis.index[shifted])
     return out
+
+
+# ---------------------------------------------------------------------------
+# lattice-symmetry orbit sums
+# ---------------------------------------------------------------------------
+
+
+def _orbit(occupation: int, model: ModelSpec) -> set[int]:
+    """Images of a state under the lattice symmetries: site reflection on a
+    line, reflections and rotations on a ring."""
+    L = model.size
+    images = {occupation, int(f"{occupation:0{L}b}"[::-1], 2)}
+    if model.topology == "ring":
+        mask = (1 << L) - 1
+        images = {(s << d | s >> (L - d)) & mask for s in images for d in range(L)}
+    return images
+
+
+def orbit_sector(
+    model: ModelSpec, obs: ObservableSpec
+) -> tuple[SparseIntMatrix, SparseIntMatrix]:
+    """Drive and observable in the basis of unnormalised orbit sums.
+
+    The basis states split into orbits of the lattice-symmetry group; orbit
+    r, numbered by its first state in basis order (the vacuum is orbit 0),
+    carries the sum |r> of its members.  A group-invariant vector, such as
+    any power of the drive applied to the vacuum, is sum_r c_r |r> with c_r
+    its amplitude on each member of r.  The drive acts on the integer
+    coefficients c through the matrix whose entry (r', r) counts the drive
+    neighbours that the first state of orbit r' has in orbit r.  Any
+    observable O, symmetric or not, enters invariant vectors u and v as
+    <u|O|v> = sum c_u(r') O(r', r) c_v(r), where O(r', r) sums the full-space
+    entries of `observable_matrix` over the pair of orbits.  Both matrices
+    are exact integer matrices.
+    """
+    basis = build_basis(model)
+    orbit_of: dict = {}
+    firsts = []
+    for s in basis.states:
+        if s not in orbit_of:
+            for t in _orbit(s, model):
+                orbit_of[t] = len(firsts)
+            firsts.append(s)
+    masks = _neighborhood_masks(model)
+    drive: dict = {}
+    for r, s in enumerate(firsts):
+        for t in _flip_neighbours(s, masks):
+            key = (r, orbit_of[t])
+            drive[key] = drive.get(key, 0) + 1
+    observable: dict = {}
+    states = basis.states
+    for (i, j), v in observable_matrix(model, basis, obs).entries.items():
+        key = (orbit_of[states[i]], orbit_of[states[j]])
+        observable[key] = observable.get(key, 0) + v
+    return SparseIntMatrix(len(firsts), drive), SparseIntMatrix(len(firsts), observable)

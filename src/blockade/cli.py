@@ -17,7 +17,8 @@ import math
 import sys
 
 from . import bounds
-from .dynamics import evolve, g2, taylor_oracle, universal_window
+from .bounds import EnvelopeDepthError
+from .dynamics import DimensionBudgetError, evolve, g2, taylor_oracle, universal_window
 from .series import (
     boundary_deficits,
     coefficient_records,
@@ -28,7 +29,14 @@ from .series import (
     records_to_csv,
     universality_threshold,
 )
-from .words import DEFAULT_ORDER_BUDGET, ModelSpec, infinite_chain, line, ring
+from .words import (
+    DEFAULT_ORDER_BUDGET,
+    AdOrderBudgetError,
+    ModelSpec,
+    infinite_chain,
+    line,
+    ring,
+)
 
 __all__ = ["main"]
 
@@ -72,6 +80,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a path")
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2 :]
     injected = []
@@ -285,8 +295,19 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+# refused requests: reported in one line with exit status 2, not a traceback
+_REFUSALS = (ValueError, DimensionBudgetError, AdOrderBudgetError, EnvelopeDepthError)
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        return _run(list(sys.argv[1:] if argv is None else argv))
+    except _REFUSALS as exc:
+        sys.stderr.write(f"blockade: error: {exc}\n")
+        return 2
+
+
+def _run(argv: list[str]) -> int:
     argv = _apply_config_file(argv)
 
     parser = argparse.ArgumentParser(

@@ -16,9 +16,13 @@ binomial sum
 
     <ad^M(O)> = sum_m (-1)^m C(M, m) (H^(M-m) e0) . O (H^m e0),
 
-rational division entering only at the final factorial.  Its results must
-match the symbolic engine digit for digit, which is the strongest self-test
-in the package.
+rational division entering only at the final factorial.  The vacuum and
+every H^m e0 are invariant under the lattice symmetries, so the oracle works
+on their integer coefficients over unnormalised orbit sums
+(`basis.orbit_sector`): the drive and the observable become exact integer
+matrices of the sector dimension (209 instead of 5,778 on an 18-site ring)
+and the binomial sum is unchanged.  Its results must match the symbolic
+engine digit for digit, which is the strongest self-test in the package.
 
 Spectral diagnostics exploit the excitation-parity anticommutation of the
 drive: the spectrum is symmetric about zero, every eigenvector away from zero
@@ -29,6 +33,7 @@ expectation values starting from the vacuum are even in time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -41,6 +46,7 @@ from .basis import (
     build_basis,
     hamiltonian_matrix,
     observable_matrix,
+    orbit_sector,
     parity_matrix,
 )
 from .series import (
@@ -202,25 +208,25 @@ def taylor_oracle(model: ModelSpec, obs: ObservableSpec, jmax: int) -> TaylorOra
     symbolic engine).
 
     Computes v_m = H^m |vacuum> for m up to 2*jmax by exact sparse integer
-    matrix-vector products, then assembles every nested-commutator
-    expectation through the binomial expansion and divides by the factorial
-    at the very end.  Odd orders vanish by parity and are reported exactly
-    as zero.
+    matrix-vector products on the orbit-sum coefficients of
+    `basis.orbit_sector`, then assembles every nested-commutator expectation
+    through the binomial expansion and divides by the factorial at the very
+    end.  Odd orders vanish by parity and are reported exactly as zero.  The
+    work budget counts the full blockade dimension and is checked before
+    anything is built.
     """
     max_ad = 2 * jmax
     work = max_ad * blockade_dimension(model)
     if work > ORACLE_WORK_BUDGET:
         raise DimensionBudgetError(work, ORACLE_WORK_BUDGET, "integer Taylor oracle")
-    basis, drive = _basis_and_matrices(model)
-    matrix = observable_matrix(model, basis, obs)
-    vs = [[0] * basis.dimension]
-    vs[0][0] = 1
+    drive, matrix = orbit_sector(model, obs)
+    vs = [[1] + [0] * (drive.dimension - 1)]  # the vacuum is orbit 0
     for _ in range(max_ad):
         vs.append(drive.matvec_int(vs[-1]))
     ovs = [matrix.matvec_int(v) for v in vs]
 
     def dot(x, y):
-        return sum(a * b for a, b in zip(x, y))
+        return sum(map(operator.mul, x, y))
 
     norm = Fraction(1, model.size) if obs.kind == "density" else Fraction(1)
     ad_expectations = {}

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from blockade.basis import (
     dumps_matrix,
     hamiltonian_matrix,
     observable_matrix,
+    orbit_sector,
     parity_matrix,
     total_number_matrix_recursive,
 )
@@ -86,6 +88,70 @@ class TestDimensions:
             blockade_dimension(infinite_chain())
 
 
+def filtered_states(L, lam, cyclic):
+    """Brute-force filter of all 2^L occupations: no excited pair d <= lam
+    apart, by shifting (or rotating) the bitset onto itself."""
+    mask = (1 << L) - 1
+
+    def clash(s, d):
+        if cyclic:
+            return s & ((s << d | s >> (L - d)) & mask)
+        return s & (s >> d)
+
+    return [s for s in range(1 << L) if not any(clash(s, d) for d in range(1, lam + 1))]
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    @pytest.mark.parametrize("topology", ["ring", "line"])
+    def test_states_equal_brute_force_filter(self, topology, lam):
+        for L in range(1, 15):
+            if topology == "ring" and not lam < L:
+                continue
+            model = ring(L, lam) if topology == "ring" else line(L, lam)
+            states = list(build_basis(model).states)
+            if topology == "line" and lam == 1:
+                states.sort()  # the recursive ordering
+            assert states == filtered_states(L, lam, cyclic=topology == "ring")
+
+    def test_memory_follows_the_dimension(self):
+        # a mask over all 2^22 occupations peaked at 104 MB here
+        tracemalloc.start()
+        try:
+            basis = build_basis(ring(22, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.dimension == 4489
+        assert peak < 16 * 2**20
+
+    def test_cap_message(self):
+        with pytest.raises(ValueError, match="bitset enumeration capped at 26 sites"):
+            build_basis(ring(27, 2))
+
+
+class TestOrbitSector:
+    @pytest.mark.parametrize(
+        "model, dim", [(ring(18), 209), (ring(20), 455), (ring(24, 2), 249), (line(16), 1309)]
+    )
+    def test_sector_dimensions(self, model, dim):
+        drive, _ = orbit_sector(model, density())
+        assert drive.dimension == dim
+
+    def test_orbit_sums_of_the_four_ring(self):
+        # ring(4) orbits in basis order: 0000; the four singles; 1010, 0101
+        drive, number = orbit_sector(ring(4), density())
+        assert drive.entries == {(0, 1): 4, (1, 0): 1, (1, 2): 1, (2, 1): 2}
+        assert number.entries == {(1, 1): 4, (2, 2): 4}
+
+    def test_vacuum_is_orbit_zero(self):
+        # the vacuum's L drive neighbours are the single excitations
+        for model in (ring(7, 2), line(9), line(8, 3)):
+            drive, _ = orbit_sector(model, density())
+            row = {c: v for (r, c), v in drive.entries.items() if r == 0}
+            assert 0 not in row and sum(row.values()) == model.size
+
+
 class TestRecursiveOrdering:
     def test_small_chains(self):
         assert build_basis(line(1)).states == (0, 1)
@@ -108,9 +174,12 @@ class TestDriveMatrix:
         assert h2.to_dense(int).tolist() == [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
 
     def test_recursion_equals_bit_flip(self):
-        for L in range(1, 13):
+        # the builders do not re-check themselves: this and acceptance C8 are
+        # the cross-check, through every chain the dense budget admits
+        for L in range(1, 21):
             b = build_basis(line(L))
             assert hamiltonian_matrix(line(L), b) == drive_matrix_recursive(L)
+            assert observable_matrix(line(L), b, density()) == total_number_matrix_recursive(L)
 
     def test_ring4_vacuum_row(self):
         b = build_basis(ring(4))
@@ -141,9 +210,6 @@ class TestObservables:
         b = build_basis(line(2))
         n = observable_matrix(line(2), b, density())
         assert n.to_dense(int).tolist() == [[0, 0, 0], [0, 1, 0], [0, 0, 1]]
-        for L in range(1, 13):
-            bb = build_basis(line(L))
-            assert observable_matrix(line(L), bb, density()) == total_number_matrix_recursive(L)
 
     def test_local_counter_vacuum_column(self):
         b = build_basis(ring(5))

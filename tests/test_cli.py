@@ -6,8 +6,9 @@ import pytest
 
 import blockade.cli
 import blockade.words
+from blockade.bounds import EnvelopeDepthError
 from blockade.cli import main
-from blockade import verify
+from blockade import bounds, verify
 
 
 def run_cli(capsys, *argv):
@@ -231,3 +232,54 @@ class TestVerifyCommand:
         rc, out = run_cli(capsys, "verify", "--quick")
         assert rc == 0
         assert "PASS" in out and "FAIL" not in out
+
+
+class TestRefusals:
+    """Refused requests print one line on stderr and exit with status 2."""
+
+    def refused(self, capsys, *argv):
+        rc = main(list(argv))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("blockade: error: ")
+        return lines[0]
+
+    def test_value_error(self, capsys):
+        msg = self.refused(
+            capsys, "coeffs", "--topology", "ring", "--L", "8", "--observable", "correlation",
+            "--d", "1",
+        )
+        assert "within the blockade range" in msg
+
+    def test_dimension_budget(self, capsys):
+        msg = self.refused(capsys, "simulate", "--topology", "line", "--L", "21")
+        assert "dimension 28657" in msg
+
+    def test_oracle_work_budget(self, capsys):
+        # an overlay past the symbolic budget asks the oracle for ring(23), j = 22
+        msg = self.refused(
+            capsys, "simulate", "--topology", "ring", "--L", "6", "--t-steps", "2",
+            "--overlay-universal", "--jmax", "22",
+        )
+        assert "integer Taylor oracle" in msg
+
+    def test_symbolic_order_budget(self, capsys):
+        msg = self.refused(capsys, "coeffs", "--topology", "infinite", "--jmax", "7")
+        assert "exceeds budget 12" in msg
+
+    def test_envelope_depth(self, capsys, monkeypatch):
+        # a real depth failure costs a million tail terms; the CLI path is the same
+        def too_deep(*args, **kwargs):
+            raise EnvelopeDepthError("envelope tail not certified within 3 terms at t=30.0")
+
+        monkeypatch.setattr(bounds, "log_error_envelope", too_deep)
+        msg = self.refused(
+            capsys, "bounds", "--table", "envelope", "--L", "18", "--t-start", "30",
+            "--t-stop", "30", "--t-steps", "1",
+        )
+        assert "not certified" in msg
+
+    def test_config_without_path(self, capsys):
+        assert self.refused(capsys, "coeffs", "--config") == "blockade: error: --config needs a path"

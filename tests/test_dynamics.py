@@ -7,8 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from blockade import bounds, dynamics
+from blockade import basis, bounds, dynamics
 from blockade.basis import (
     blockade_dimension,
     build_basis,
@@ -33,18 +35,71 @@ from blockade.series import (
     general_word,
     local_number,
 )
-from blockade.words import RAISE, line, make_word, ring
+from blockade.words import RAISE, Letter, line, make_word, ring
 
 
 @pytest.fixture
 def cache_size(monkeypatch):
-    """Make any basis construction fail; return the basis cache size before."""
+    """Make any basis, state enumeration or orbit sector fail; return the
+    basis cache size before."""
 
-    def no_basis(model):
-        raise AssertionError(f"built a basis for {model} before refusing")
+    def refuse(*args):
+        raise AssertionError(f"built {args} before refusing")
 
-    monkeypatch.setattr(dynamics, "build_basis", no_basis)
+    monkeypatch.setattr(dynamics, "build_basis", refuse)
+    monkeypatch.setattr(dynamics, "orbit_sector", refuse)
+    monkeypatch.setattr(basis, "build_basis", refuse)
+    monkeypatch.setattr(basis, "_admissible_states", refuse)
     return dynamics._basis_and_matrices.cache_info().currsize
+
+
+def full_space_ad_expectations(model, obs, jmax):
+    """The oracle's binomial sum over the whole blockade basis: the reference
+    for the orbit-sum sector."""
+    b = build_basis(model)
+    drive = hamiltonian_matrix(model, b)
+    matrix = observable_matrix(model, b, obs)
+    vs = [[1] + [0] * (b.dimension - 1)]
+    for _ in range(2 * jmax):
+        vs.append(drive.matvec_int(vs[-1]))
+    ovs = [matrix.matvec_int(v) for v in vs]
+    norm = Fraction(1, model.size) if obs.kind == "density" else Fraction(1)
+    out = {}
+    for M in range(2 * jmax + 1):
+        total = sum(
+            (-1) ** m * math.comb(M, m) * sum(x * y for x, y in zip(vs[M - m], ovs[m]))
+            for m in range(M + 1)
+        )
+        out[M] = Fraction(total) * norm
+    return out
+
+
+@st.composite
+def oracle_cases(draw):
+    """A lattice of up to 12 sites, blockade range up to 3, and an observable
+    of every kind the oracle takes."""
+    topology = draw(st.sampled_from(["ring", "line"]))
+    lam = draw(st.integers(1, 3))
+    L = draw(st.integers(lam + 1 if topology == "ring" else 1, 12))
+    model = ring(L, lam) if topology == "ring" else line(L, lam)
+    kind = draw(st.sampled_from(["density", "local_number", "correlation", "word"]))
+    if kind == "density":
+        obs = density()
+    elif kind == "local_number":
+        obs = local_number(draw(st.integers(1, L)))
+    elif kind == "correlation":
+        assume(L >= 2)
+        d = draw(st.integers(1, L - 1))
+        obs = correlation(d, site=draw(st.integers(1, L if topology == "ring" else L - d)))
+    else:
+        span = 2 * L if topology == "ring" else L  # ring words may wrap and fold
+        letters = draw(
+            st.dictionaries(
+                st.integers(1, span), st.sampled_from(list(Letter)), min_size=1, max_size=4
+            )
+        )
+        obs = general_word(make_word(letters))
+    return model, obs, draw(st.integers(1, 4))
 
 
 class TestEvolve:
@@ -160,6 +215,25 @@ class TestTaylorOracle:
         sym = density_coefficients(line(9), 3).even_values()
         orc = taylor_oracle(line(9), density(), 3).coefficients
         assert sym == orc
+
+    @given(oracle_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_sector_equals_full_space(self, case):
+        model, obs, jmax = case
+        got = taylor_oracle(model, obs, jmax).ad_expectations
+        assert got == full_space_ad_expectations(model, obs, jmax)
+
+    @pytest.mark.parametrize(
+        "model, obs",
+        [
+            (ring(16), density()),
+            (line(16), local_number(3)),
+            (ring(14, 2), general_word(make_word({2: Letter.LOWER, 4: RAISE}))),
+        ],
+    )
+    def test_sector_equals_full_space_on_larger_lattices(self, model, obs):
+        got = taylor_oracle(model, obs, 6).ad_expectations
+        assert got == full_space_ad_expectations(model, obs, 6)
 
     def test_work_budget_refusal(self):
         with pytest.raises(DimensionBudgetError):
