@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .series import ObservableSpec, correlation_base_site
-from .words import LOWER, NUM, PROJ, RAISE, ModelSpec, Word, fold_word
+from .words import LOWER, NUM, PROJ, RAISE, ModelSpec, Word, check_domain, fold_word
 
 __all__ = [
     "SparseIntMatrix",
@@ -122,13 +122,8 @@ def _finite_size(model: ModelSpec) -> int:
     """
     if model.topology == "infinite":
         raise ValueError("infinite chain has no finite basis")
-    L, lam = model.size, model.blockade_range
-    if model.topology == "ring" and lam >= L:
-        raise ValueError(
-            f"blockade range {lam} covers the whole ring of {L} sites; "
-            "only the all-ground and single-excitation states survive"
-        )
-    return L
+    check_domain(model)
+    return model.size
 
 
 def blockade_dimension(model: ModelSpec) -> int:

@@ -197,7 +197,9 @@ class EnvelopeDepthError(ValueError):
     """Tail truncation could not be certified within the configured depth."""
 
 
-def _certified_tail_log(log_term, ratio_majorant, start: int, max_terms: int, t: float) -> float:
+def _certified_tail_log(
+    log_term, ratio_majorant, start: int, max_terms: int, t: float, far_ratio=None
+) -> float:
     """Log of a certified upper bound on sum_{i >= start} exp(log_term(i)).
 
     ``ratio_majorant(i)`` must dominate every term ratio from index i onwards
@@ -205,7 +207,20 @@ def _certified_tail_log(log_term, ratio_majorant, start: int, max_terms: int, t:
     until the geometric closure term_i * rho/(1-rho) drops below the relative
     cutoff; the closure is then *added*, so truncation can only loosen the
     bound, never undercut it.
+
+    A closure needs rho < 1, and the majorant only decreases, so if it is
+    still >= 1 at the last index the sum cannot be certified and is refused
+    before any term is summed.  ``far_ratio`` evaluates that one majorant
+    (default ``ratio_majorant``) without tabulating everything below it; it
+    is consulted only when the majorant at ``start`` is >= 1 too.
     """
+    last = start + max_terms - 1
+    if max_terms < 1 or (
+        ratio_majorant(start) >= 1.0 and (far_ratio or ratio_majorant)(last) >= 1.0
+    ):
+        raise EnvelopeDepthError(
+            f"envelope tail not certified within {max_terms} terms at t={t}"
+        )
     log_cut = math.log(TAIL_RELATIVE_CUTOFF)
     m = float("-inf")  # running max of the log terms
     acc = 0.0          # sum(exp(x - m)) over terms seen so far
@@ -269,7 +284,12 @@ def log_error_envelope(
             def ratio(j):
                 return 36.0 * t * t / (omega(2 * j + 1) * omega(2 * j + 2))
 
-            return _certified_tail_log(log_term, ratio, j0, max_terms, t)
+            def far_ratio(j):
+                # the same value, solved directly: omega(k) tabulates all k' < k
+                w = kappa(float(2 * j + 1)).omega * kappa(float(2 * j + 2)).omega
+                return 36.0 * t * t / w
+
+            return _certified_tail_log(log_term, ratio, j0, max_terms, t, far_ratio)
 
         # kappa form for longer blockade ranges: 2 b_j t^(2j).  The ratio
         # majorant uses kappa_{a+2}/kappa_a <= tau(a+2)^2 <= tau(2j+2)^2 and

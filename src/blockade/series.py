@@ -43,12 +43,14 @@ from .words import (
     OperatorSum,
     Word,
     canonicalize,
-    commutator_H,
-    commutator_vacuum_expectation,
+    check_domain,
+    class_commutator_expectation,
+    commutator_classes,
     infinite_chain,
     line,
     make_word,
     single_count,
+    translation_classes,
     vacuum_expectation,
     word_length,
 )
@@ -222,16 +224,19 @@ def _expectation_series(
     Iterates the nested commutator once per order, but takes each order's
     vacuum expectation from the *previous* operator through the cheap
     single-letter contraction, so the most expensive operator is never built.
+    On rings and the infinite chain the operator is kept by translation
+    class (`commutator_classes`), which yields the same per-site values: the
+    vacuum and the drive are translation invariant.
     """
     if max_order - 1 > order_budget:
         raise AdOrderBudgetError(max_order - 1, order_budget, 0)
     vals = [Fraction(vacuum_expectation(A))]
-    cur = A
+    cur = translation_classes(A, model)
     for order in range(1, max_order + 1):
-        exp = commutator_vacuum_expectation(cur, model)
+        exp = class_commutator_expectation(cur)
         vals.append(Fraction(_phase_sign(order) * exp, factorial(order)))
         if order < max_order:
-            cur = commutator_H(cur, model)
+            cur = commutator_classes(cur, model)
     return vals
 
 
@@ -306,6 +311,7 @@ def density_coefficients(
     symmetry halves the work and the tiered site memo (bulk / edge / exact)
     collapses the rest.
     """
+    check_domain(model)
     max_order = 2 * jmax
     if model.topology in ("ring", "infinite"):
         seed = observable_operator(density(), model)
@@ -339,6 +345,7 @@ def correlation_coefficients(
 
     Distances inside the blockade range are rejected: the pair counter is
     identically zero there."""
+    check_domain(model)
     obs = correlation(distance)
     seed = observable_operator(obs, model)
     vals = _expectation_series(seed, model, 2 * jmax, order_budget)
@@ -358,6 +365,7 @@ def word_coefficients(
     Only orders with the parity of the word's single-letter count survive;
     the rest are exact zeros.  When that count is odd the odd orders carry a
     leftover factor of i on top of the stored rational."""
+    check_domain(model)
     obs = general_word(A)
     seed = observable_operator(obs, model)
     vals = _expectation_series(seed, model, jmax, order_budget)

@@ -8,9 +8,9 @@ of single-site letters taken from the four-element set
     n   excitation counter rd*r = |r><r|
     m   ground projector   1 - n = |g><g|
 
-Letters at different sites commute; at a single site they close under
-multiplication.  The full product table follows from ``r*r = 0``,
-``{r, rd} = 1``, ``n = rd*r`` and ``m = 1 - n``:
+Each letter is a matrix unit E_{out,in} on the site's (g, r) = (0, 1) basis:
+r = (0, 1), rd = (1, 0), n = (1, 1), m = (0, 0).  Letters at different sites
+commute and E_{a,b} E_{c,d} = delta_{bc} E_{a,d}, which gives the full table
 
            r    rd   n    m
     r      0    m    r    0
@@ -22,12 +22,31 @@ so a product of two words is again a single word (or zero), never a sum.
 The identity is the empty word; it is represented by the *absence* of a
 letter at a site and is never stored explicitly.
 
+Internally a word is packed into three integer bitmasks ``(S, O, I)`` over
+the sites: the support, and the out- and in-bits of the letters on it.  The
+product of two packed words is zero iff ``(I_x ^ O_y) & S_x & S_y`` is not,
+and otherwise ``(S_x | S_y, O_x | O_y & ~S_x, I_y | I_x & ~S_y)``; a word is
+made of ground projectors only iff ``O == I == 0``, and its single letters
+(r, rd) are the bits of ``O ^ I``.  The public functions take and return
+words as tuples of ``(site, Letter)`` pairs; each packs its input once, runs
+the packed kernel and unpacks the result once.
+
 The drive Hamiltonian with blockade range ``lam`` is ``H = sum_k H_k`` with
 ``H_k = (r_k + rd_k)`` flanked by ground projectors on every site within
 distance ``lam`` of ``k`` (neighbours wrap around on a ring and are truncated
 at the ends of an open chain).  Nested commutators ``ad^j(A) = [H, [H, ...]]``
 are evaluated exactly with integer/rational coefficients, which is what makes
 the short-time Taylor data downstream exact.
+
+On rings and the infinite chain H commutes with translations T, so
+``[H, sum_k T^k w] = sum_k T^k [H, w]``.  `translation_classes` and
+`commutator_classes` keep an operator ``sum_w c_w sum_k T^k w`` as the map
+from one representative word per class to ``c_w``: the word shifted so its
+lowest site is bit 0 (infinite chain) or its least rotation (ring).  The
+per-site vacuum expectation of such an operator is the plain sum of its
+coefficients over representatives, periodic words included, because every
+translate has the same expectation.  On an open chain each word is its own
+class.
 
 All values are immutable; every function is pure and safe to call from
 multiple threads, and results are independent of evaluation order.
@@ -55,6 +74,7 @@ __all__ = [
     "ring",
     "line",
     "infinite_chain",
+    "check_domain",
     "OperatorSum",
     "zero_operator",
     "identity_operator",
@@ -66,6 +86,9 @@ __all__ = [
     "ad_power",
     "vacuum_expectation",
     "commutator_vacuum_expectation",
+    "translation_classes",
+    "commutator_classes",
+    "class_commutator_expectation",
     "AdOrderBudgetError",
     "DEFAULT_ORDER_BUDGET",
     "dumps_operator",
@@ -90,33 +113,78 @@ PROJ = Letter.PROJ
 _SYMBOL = {LOWER: "r", RAISE: "rd", NUM: "n", PROJ: "m"}
 _FROM_SYMBOL = {v: k for k, v in _SYMBOL.items()}
 
-# Complete single-site product table, rows = left factor, columns = right
-# factor in the order (r, rd, n, m); None encodes the zero operator.
-_MUL = (
-    (None, PROJ, LOWER, None),    # r  * .
-    (NUM, None, None, RAISE),     # rd * .
-    (None, RAISE, NUM, None),     # n  * .
-    (LOWER, None, None, PROJ),    # m  * .
-)
+# Packed code 2*out + in of each letter (indexed by Letter), and its inverse.
+_CODE = (1, 2, 3, 0)
+_LETTER_OF = (PROJ, LOWER, RAISE, NUM)
 
 _ADJOINT = {LOWER: RAISE, RAISE: LOWER, NUM: NUM, PROJ: PROJ}
 
 _SINGLE = frozenset((LOWER, RAISE))
 
 
-def letter_mul(a: Letter, b: Letter) -> Letter | None:
-    """Product of two letters on the same site; ``None`` means zero."""
-    return _MUL[a][b]
-
-
 # ---------------------------------------------------------------------------
 # words
 # ---------------------------------------------------------------------------
 #
-# A word is a tuple of (site, Letter) pairs with strictly increasing sites.
-# The empty tuple is the identity operator.
+# A word is a tuple of (site, Letter) pairs with strictly increasing sites;
+# the empty tuple is the identity operator.  Packed, it is the triple of
+# bitmasks (S, O, I) with bit b standing for site ``base + b``.
 
 Word = tuple
+
+
+def _mul(x: tuple, y: tuple) -> tuple | None:
+    """Product of two packed words; ``None`` means zero."""
+    Sx, Ox, Ix = x
+    Sy, Oy, Iy = y
+    if (Ix ^ Oy) & Sx & Sy:
+        return None
+    return (Sx | Sy, Ox | (Oy & ~Sx), Iy | (Ix & ~Sy))
+
+
+def _pack(w: Word, base: int) -> tuple:
+    """Packed form of a tuple word with distinct sites, bit 0 at site ``base``."""
+    S = O = I = 0
+    for s, a in w:
+        bit = 1 << (s - base)
+        code = _CODE[a]
+        S |= bit
+        if code & 2:
+            O |= bit
+        if code & 1:
+            I |= bit
+    return (S, O, I)
+
+
+def _unpack(p: tuple, base: int) -> Word:
+    """Tuple word of a packed word, bit 0 at site ``base``."""
+    S, O, I = p
+    out = []
+    while S:
+        low = S & -S
+        b = low.bit_length() - 1
+        out.append((base + b, _LETTER_OF[((O >> b) & 1) * 2 + ((I >> b) & 1)]))
+        S ^= low
+    return tuple(out)
+
+
+def _base(*ops: "OperatorSum") -> int:
+    """Lowest site carried by any word of the operators (0 if none)."""
+    return min((w[0][0] for op in ops for w in op.terms if w), default=0)
+
+
+def _pack_terms(op: "OperatorSum", base: int) -> dict:
+    return {_pack(w, base): c for w, c in op.terms.items()}
+
+
+def _unpack_terms(terms: dict, base: int) -> "OperatorSum":
+    return OperatorSum({_unpack(p, base): c for p, c in terms.items()})
+
+
+def letter_mul(a: Letter, b: Letter) -> Letter | None:
+    """Product of two letters on the same site; ``None`` means zero."""
+    p = _mul(_pack(((0, a),), 0), _pack(((0, b),), 0))
+    return None if p is None else _unpack(p, 0)[0][1]
 
 
 def make_word(letters: dict[int, Letter]) -> Word:
@@ -128,36 +196,16 @@ def word_mul(x: Word, y: Word) -> Word | None:
     """Site-wise product of two canonical words.
 
     Letters at distinct sites commute, so the product is the merge of the two
-    site maps with `letter_mul` applied wherever the sites coincide.  Returns
-    ``None`` when any single-site product vanishes.
+    site maps with the letter product applied wherever the sites coincide.
+    Returns ``None`` when any single-site product vanishes.
     """
     if not x:
         return y
     if not y:
         return x
-    out = []
-    i = j = 0
-    nx = len(x)
-    ny = len(y)
-    while i < nx and j < ny:
-        sx, ax = x[i]
-        sy, ay = y[j]
-        if sx < sy:
-            out.append(x[i])
-            i += 1
-        elif sx > sy:
-            out.append(y[j])
-            j += 1
-        else:
-            p = _MUL[ax][ay]
-            if p is None:
-                return None
-            out.append((sx, p))
-            i += 1
-            j += 1
-    out.extend(x[i:])
-    out.extend(y[j:])
-    return tuple(out)
+    base = min(x[0][0], y[0][0])
+    p = _mul(_pack(x, base), _pack(y, base))
+    return None if p is None else _unpack(p, base)
 
 
 def word_adjoint(x: Word) -> Word:
@@ -257,6 +305,22 @@ def infinite_chain(blockade_range: int = 1) -> ModelSpec:
     return ModelSpec("infinite", None, blockade_range)
 
 
+def check_domain(model: ModelSpec) -> None:
+    """Reject a ring whose blockade range covers the whole ring.
+
+    Such a ring keeps only the all-ground and single-excitation states; the
+    series, the basis and every route built on them refuse it with the same
+    message rather than silently reduce it.  The drive terms themselves
+    (`hamiltonian_terms`, `commutator_H`) stay defined there.
+    """
+    if model.topology == "ring" and model.blockade_range >= model.size:
+        raise ValueError(
+            f"blockade range {model.blockade_range} covers the whole ring of "
+            f"{model.size} sites; only the all-ground and single-excitation "
+            "states survive"
+        )
+
+
 # ---------------------------------------------------------------------------
 # operator sums
 # ---------------------------------------------------------------------------
@@ -309,18 +373,15 @@ class OperatorSum:
 
     def __mul__(self, other):
         if isinstance(other, OperatorSum):
-            acc = {}
-            for wx, cx in self.terms.items():
-                for wy, cy in other.terms.items():
-                    p = word_mul(wx, wy)
-                    if p is None:
-                        continue
-                    s = acc.get(p, 0) + cx * cy
-                    if s == 0:
-                        acc.pop(p, None)
-                    else:
-                        acc[p] = s
-            return OperatorSum(acc)
+            base = _base(self, other)
+            ys = _pack_terms(other, base).items()
+            acc: dict = {}
+            for px, cx in _pack_terms(self, base).items():
+                for py, cy in ys:
+                    p = _mul(px, py)
+                    if p is not None:
+                        acc[p] = acc.get(p, 0) + cx * cy
+            return _unpack_terms(acc, base)
         return OperatorSum({w: c * other for w, c in self.terms.items()})
 
     def __rmul__(self, scalar) -> "OperatorSum":
@@ -370,6 +431,23 @@ def adjoint(op: OperatorSum) -> OperatorSum:
     return op.adjoint()
 
 
+def _fold(x: Word, model: ModelSpec) -> tuple | None:
+    """Packed form of a word on a finite model, bit 0 at site 1.
+
+    Ring sites are reduced to residues 1..L and colliding letters are
+    multiplied out (``None`` if a collision annihilates the word); a line
+    word must fit inside 1..L.
+    """
+    p = (0, 0, 0)
+    for s, a in x:
+        if not model.contains_site(s):
+            raise ValueError(f"site {s} outside line of {model.size} sites")
+        p = _mul(p, _pack(((model.canonical_site(s), a),), 1))
+        if p is None:
+            return None
+    return p
+
+
 def fold_word(x: Word, model: ModelSpec) -> Word | None:
     """Canonicalise a word against a model.
 
@@ -377,39 +455,31 @@ def fold_word(x: Word, model: ModelSpec) -> Word | None:
     multiplied out; the result is ``None`` if a collision annihilates the
     word.  On a line the word must fit inside 1..L.
     """
-    if model.topology == "line":
-        for s, _ in x:
-            if not model.contains_site(s):
-                raise ValueError(f"site {s} outside line of {model.size} sites")
-        return x
     if model.topology == "infinite":
         return x
-    acc: dict[int, Letter] = {}
-    for s, a in x:
-        s = model.canonical_site(s)
-        if s in acc:
-            p = _MUL[acc[s]][a]
-            if p is None:
-                return None
-            acc[s] = p
-        else:
-            acc[s] = a
-    return tuple(sorted(acc.items()))
+    p = _fold(x, model)
+    if p is None:
+        return None
+    return x if model.topology == "line" else _unpack(p, 1)
 
 
 def canonicalize(op: OperatorSum, model: ModelSpec) -> OperatorSum:
     """Fold every term of ``op`` onto the model's canonical sites."""
+    terms, base = _pack_operator(op, model)
+    return _unpack_terms(terms, base)
+
+
+def _pack_operator(op: OperatorSum, model: ModelSpec) -> tuple[dict, int]:
+    """Packed, folded terms of ``op`` on ``model`` and the site of bit 0."""
+    if model.topology == "infinite":
+        base = _base(op)
+        return _pack_terms(op, base), base
     acc: dict = {}
     for w, c in op.terms.items():
-        f = fold_word(w, model)
-        if f is None:
-            continue
-        s = acc.get(f, 0) + c
-        if s == 0:
-            acc.pop(f, None)
-        else:
-            acc[f] = s
-    return OperatorSum(acc)
+        p = _fold(w, model)
+        if p is not None:
+            acc[p] = acc.get(p, 0) + c
+    return {p: c for p, c in acc.items() if c}, 1
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +487,25 @@ def canonicalize(op: OperatorSum, model: ModelSpec) -> OperatorSum:
 # ---------------------------------------------------------------------------
 
 
-def _drive_words(model: ModelSpec, k: int) -> tuple[Word, Word]:
-    """The two words of the local drive term at site ``k``:
-    r_k and rd_k, each flanked by ground projectors on the neighbourhood."""
-    k = model.canonical_site(k)
-    flank = [(j, PROJ) for j in model.neighborhood(k)]
-    low = tuple(sorted(flank + [(k, LOWER)]))
-    high = tuple(sorted(flank + [(k, RAISE)]))
-    return low, high
+def _drive_masks(model: ModelSpec, width: int = 0) -> list[tuple[int, int]]:
+    """``(D, b)`` for the drive term at each bit k: ``b = 1 << k`` marks the
+    flipped site, ``D`` the flip plus its projector neighbourhood.
+
+    Finite models use bit k for site k + 1; the infinite chain is laid out
+    as an open chain of ``width`` bits, whose drive terms are those of the
+    infinite chain wherever the whole neighbourhood fits.
+    """
+    lam = model.blockade_range
+    if model.topology == "ring":
+        out = []
+        for k in range(1, model.size + 1):
+            b = 1 << (k - 1)
+            out.append((sum(1 << (j - 1) for j in model.neighborhood(k)) | b, b))
+        return out
+    size = model.size if model.topology == "line" else width
+    window = (1 << (2 * lam + 1)) - 1
+    full = (1 << size) - 1
+    return [(((window << k) >> lam) & full, 1 << k) for k in range(size)]
 
 
 def hamiltonian_terms(model: ModelSpec) -> list[OperatorSum]:
@@ -437,25 +518,86 @@ def hamiltonian_terms(model: ModelSpec) -> list[OperatorSum]:
     """
     if model.topology == "infinite":
         raise ValueError("infinite chain has no finite term list; use commutator_H")
-    out = []
-    for k in range(1, model.size + 1):
-        low, high = _drive_words(model, k)
-        out.append(OperatorSum({low: 1, high: 1}))
-    return out
+    return [
+        OperatorSum({_unpack((D, 0, b), 1): 1, _unpack((D, b, 0), 1): 1})
+        for D, b in _drive_masks(model)
+    ]
 
 
-def _relevant_drive_sites(w: Word, model: ModelSpec) -> list[int]:
-    """Sites k whose drive term can fail to commute with the word ``w``:
-    those whose dressed support touches a letter of ``w``."""
+def _frame_shift(model: ModelSpec) -> int:
+    """Bits by which `_commute` moves words of the infinite chain up, so that
+    the drive terms reaching below a word's lowest site stay at bits >= 0."""
+    return 2 * model.blockade_range if model.topology == "infinite" else 0
+
+
+def _commute(terms: dict, model: ModelSpec) -> dict:
+    """Packed [H, op]; on the infinite chain bit b of the result is bit
+    b - `_frame_shift` of the input.
+
+    Only drive terms whose support D meets the word's support S act.  With
+    X = D & S, the flip at bit b multiplies from the left iff the out-bits of
+    the word on X equal those of the flip's in-side, and from the right iff
+    its in-bits on X equal the flip's out-side; every surviving product sets
+    or clears bit b of O or I and extends the support to D | S.  A flip
+    outside S whose overlap carries only ground projectors commutes with the
+    word, and its four products cancel in pairs, so it is skipped.
+    """
     lam = model.blockade_range
-    sites: set[int] = set()
-    for s, _ in w:
-        sites.update(range(s - lam, s + lam + 1))
-    if model.topology == "ring":
-        return sorted({model.canonical_site(k) for k in sites})
-    if model.topology == "line":
-        return [k for k in sorted(sites) if 1 <= k <= model.size]
-    return sorted(sites)
+    shift = _frame_shift(model)
+    if model.topology == "infinite":
+        width = max((S.bit_length() for S, _, _ in terms), default=0) + 2 * shift + 1
+        drive = _drive_masks(model, width)
+    else:
+        drive = _drive_masks(model)
+    cyclic = model.topology == "ring"
+    acc: dict = {}
+    get = acc.get
+    for (S, O, I), c in terms.items():
+        if not S:
+            continue  # the identity commutes with everything
+        if shift:
+            S <<= shift
+            O <<= shift
+            I <<= shift
+        if cyclic:
+            sites = drive
+        else:
+            lo = (S & -S).bit_length() - 1 - lam
+            sites = drive[max(lo, 0): S.bit_length() + lam]
+        for D, b in sites:
+            X = D & S
+            if not X:
+                continue
+            U = D | S
+            ox = O & X
+            ix = I & X
+            if b & S:
+                if ox == b:  # r_k (x) m's times a word with rd or n at k
+                    key = (U, O ^ b, I)
+                    acc[key] = get(key, 0) + c
+                elif not ox:  # rd_k (x) m's times a word with r or m at k
+                    key = (U, O | b, I)
+                    acc[key] = get(key, 0) + c
+                if ix == b:  # word with r or n at k times rd_k (x) m's
+                    key = (U, O, I ^ b)
+                    acc[key] = get(key, 0) - c
+                elif not ix:  # word with rd or m at k times r_k (x) m's
+                    key = (U, O, I | b)
+                    acc[key] = get(key, 0) - c
+            else:
+                if ox:
+                    if ix:
+                        continue
+                    cc = -c
+                elif ix:
+                    cc = c
+                else:
+                    continue
+                key = (U, O, I | b)
+                acc[key] = get(key, 0) + cc
+                key = (U, O | b, I)
+                acc[key] = get(key, 0) + cc
+    return {p: c for p, c in acc.items() if c}
 
 
 def commutator_H(op: OperatorSum, model: ModelSpec) -> OperatorSum:
@@ -463,29 +605,98 @@ def commutator_H(op: OperatorSum, model: ModelSpec) -> OperatorSum:
 
     The sum over local terms is restricted to the sites whose dressed flip can
     touch the support of each word; everything else commutes.  Identity terms
-    drop out immediately.
+    drop out immediately.  Ring words are first folded onto residues 1..L.
     """
+    terms, base = _pack_operator(op, model)
+    return _unpack_terms(_commute(terms, model), base - _frame_shift(model))
+
+
+def _ring_class(p: tuple, L: int) -> tuple:
+    """Least rotation of a packed ring word, over the rotations that move the
+    start of a run of its support to bit 0 (every rotation if the support is
+    the whole ring)."""
+    S, O, I = p
+    full = (1 << L) - 1
+    starts = S & ~(((S << 1) | (S >> (L - 1))) & full)
+    if not starts:
+        if not S:
+            return p
+        starts = full
+    best = None
+    while starts:
+        low = starts & -starts
+        starts ^= low
+        r = low.bit_length() - 1
+        q = (
+            ((S >> r) | (S << (L - r))) & full,
+            ((O >> r) | (O << (L - r))) & full,
+            ((I >> r) | (I << (L - r))) & full,
+        )
+        if best is None or q < best:
+            best = q
+    return best
+
+
+def _shift_class(p: tuple) -> tuple:
+    """A packed infinite-chain word shifted so that its lowest site is bit 0."""
+    S, O, I = p
+    if not S:
+        return p
+    z = (S & -S).bit_length() - 1
+    return (S >> z, O >> z, I >> z)
+
+
+def _merge_classes(terms: dict, model: ModelSpec) -> dict:
+    """Sum the coefficients of packed words over their translation classes."""
+    if model.topology == "line":
+        return terms
+    L = model.size
+    rep = _shift_class if L is None else lambda p: _ring_class(p, L)
     acc: dict = {}
-    for w, c in op.terms.items():
-        if not w:
-            continue
-        for k in _relevant_drive_sites(w, model):
-            for h in _drive_words(model, k):
-                p = word_mul(h, w)
-                if p is not None:
-                    s = acc.get(p, 0) + c
-                    if s == 0:
-                        acc.pop(p, None)
-                    else:
-                        acc[p] = s
-                q = word_mul(w, h)
-                if q is not None:
-                    s = acc.get(q, 0) - c
-                    if s == 0:
-                        acc.pop(q, None)
-                    else:
-                        acc[q] = s
-    return OperatorSum(acc)
+    for p, c in terms.items():
+        q = rep(p)
+        acc[q] = acc.get(q, 0) + c
+    return {q: c for q, c in acc.items() if c}
+
+
+def translation_classes(op: OperatorSum, model: ModelSpec) -> dict:
+    """``op`` as a packed operator by translation class.
+
+    On a ring or the infinite chain the result maps class representatives
+    (least rotation; lowest site at bit 0) to coefficients and stands for
+    ``sum_k T^k op`` over all translations T^k.  On an open chain it maps
+    the packed words of ``op`` (bit 0 at site 1) to their coefficients.
+    """
+    terms, _ = _pack_operator(op, model)
+    return _merge_classes(terms, model)
+
+
+def commutator_classes(classes: dict, model: ModelSpec) -> dict:
+    """One nested-commutator order on a packed operator by translation class:
+    ``[H, sum_k T^k A] = sum_k T^k [H, A]``, so the commutator of each
+    representative is taken and its words are mapped back to their classes.
+    On an open chain this is the packed commutator itself."""
+    return _merge_classes(_commute(classes, model), model)
+
+
+def class_commutator_expectation(classes: dict) -> Fraction:
+    """Per-site vacuum expectation of [H, A] for a packed operator A.
+
+    Only a word with one single letter and ground projectors elsewhere meets
+    a dressed flip at that site to give an all-projector product: rd_k gives
+    +1 (from r_k rd_k = m_k), r_k gives -1, every other word nothing.  The
+    blockade range does not enter, and on translation classes every
+    translate contributes the same, so the per-site value is this sum over
+    representatives.
+    """
+    total = 0
+    for (_, O, I), c in classes.items():
+        if I:
+            if not O and not I & (I - 1):
+                total -= c
+        elif O and not O & (O - 1):
+            total += c
+    return Fraction(total)
 
 
 DEFAULT_ORDER_BUDGET = 12
@@ -527,12 +738,13 @@ def ad_power(
         raise ValueError("order must be >= 0")
     if order > order_budget:
         raise AdOrderBudgetError(order, order_budget, 0)
-    out = canonicalize(operator, model)
+    terms, base = _pack_operator(operator, model)
     for g in range(order):
-        out = commutator_H(out, model)
-        if max_terms is not None and len(out.terms) > max_terms:
+        terms = _commute(terms, model)
+        base -= _frame_shift(model)
+        if max_terms is not None and len(terms) > max_terms:
             raise AdOrderBudgetError(order, order_budget, g + 1)
-    return out
+    return _unpack_terms(terms, base)
 
 
 def vacuum_expectation(op: OperatorSum) -> Fraction:
@@ -542,38 +754,20 @@ def vacuum_expectation(op: OperatorSum) -> Fraction:
     any r, rd or n letter annihilates the expectation.  The empty word
     contributes its coefficient.
     """
-    total = 0
-    for w, c in op.terms.items():
-        if all(a is PROJ for _, a in w):
-            total += c
-    return Fraction(total)
+    terms = _pack_terms(op, _base(op))
+    return Fraction(sum(c for (_, O, I), c in terms.items() if not O and not I))
 
 
 def commutator_vacuum_expectation(op: OperatorSum, model: ModelSpec) -> Fraction:
     """Vacuum expectation of [H, op] without materialising the commutator.
 
     An all-projector product can only arise when a dressed flip meets a word
-    carrying exactly one single letter, at that same site; every other word
-    of ``op`` contributes nothing.  Equivalent to
-    ``vacuum_expectation(commutator_H(op, model))`` but far cheaper at the
-    top order of a coefficient computation.
+    carrying exactly one single letter, at that same site, and ground
+    projectors elsewhere (see `class_commutator_expectation`).  Equivalent
+    to ``vacuum_expectation(commutator_H(op, model))`` but far cheaper at
+    the top order of a coefficient computation.
     """
-    total = 0
-    for w, c in op.terms.items():
-        singles = [s for s, a in w if a in _SINGLE]
-        if len(singles) != 1:
-            continue
-        k = singles[0]
-        if model.topology == "line" and not model.contains_site(k):
-            continue
-        for h in _drive_words(model, k):
-            p = word_mul(h, w)
-            if p is not None and all(a is PROJ for _, a in p):
-                total += c
-            q = word_mul(w, h)
-            if q is not None and all(a is PROJ for _, a in q):
-                total -= c
-    return Fraction(total)
+    return class_commutator_expectation(_pack_operator(op, model)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Coefficient bounds, envelopes and convergence-rate diagnostics."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,38 @@ class TestEnvelope:
     def test_uncertifiable_depth_reported(self):
         with pytest.raises(bounds.EnvelopeDepthError):
             bounds.log_error_envelope(10, 1, 1, 1.0, "word", max_terms=100)
+
+    @pytest.mark.parametrize("lam, cls", [(1, "density"), (2, "density"), (1, "word")])
+    def test_hopeless_depth_refused_up_front(self, lam, cls):
+        # the term-ratio majorant is still above 1 at the millionth term, so
+        # no closure can certify the tail; summing all of them took ~20 s
+        tabulated = len(bounds._OMEGA)
+        start = time.perf_counter()
+        with pytest.raises(bounds.EnvelopeDepthError) as err:
+            bounds.log_error_envelope(18, lam, 1, 30.0, cls)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == "envelope tail not certified within 1000000 terms at t=30.0"
+        assert len(bounds._OMEGA) == tabulated  # no term was summed, no omega tabulated
+
+    @pytest.mark.parametrize("lam, cls", [(1, "density"), (2, "density"), (1, "word")])
+    def test_up_front_refusal_keeps_every_certifiable_depth(self, lam, cls):
+        # bisect the smallest depth that certifies: it gives the full-depth
+        # value, so the up-front check refuses no depth the sum would certify
+        def certified(depth):
+            try:
+                return bounds.log_error_envelope(6, lam, 1, 0.5, cls, max_terms=depth)
+            except bounds.EnvelopeDepthError:
+                return None
+
+        lo, hi = 1, 10**4  # certified(hi), not certified(lo - 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if certified(mid) is None:
+                lo = mid + 1
+            else:
+                hi = mid
+        assert lo > 1
+        assert certified(lo) == bounds.log_error_envelope(6, lam, 1, 0.5, cls)
 
 
 class TestConvergenceRatio:

@@ -6,9 +6,8 @@ import pytest
 
 import blockade.cli
 import blockade.words
-from blockade.bounds import EnvelopeDepthError
 from blockade.cli import main
-from blockade import bounds, verify
+from blockade import verify
 
 
 def run_cli(capsys, *argv):
@@ -56,11 +55,12 @@ class TestCoeffs:
         assert rc == 0
 
     def test_corrupted_product_table_fails_oracle_check(self, capsys, monkeypatch):
-        # break one projector product: the symbolic route then disagrees with
-        # the integer matrix oracle and the run must report a nonzero status
-        bad = [list(row) for row in blockade.words._MUL]
-        bad[blockade.words.PROJ][blockade.words.LOWER] = None
-        monkeypatch.setattr(blockade.words, "_MUL", tuple(tuple(r) for r in bad))
+        # the packed letter codes define every letter product; give n the
+        # code of m and the symbolic route disagrees with the integer matrix
+        # oracle, so the run must report a nonzero status
+        bad = list(blockade.words._CODE)
+        bad[blockade.words.NUM] = bad[blockade.words.PROJ]
+        monkeypatch.setattr(blockade.words, "_CODE", tuple(bad))
         rc, _ = run_cli(
             capsys, "coeffs", "--topology", "ring", "--L", "4", "--jmax", "2", "--with-oracle"
         )
@@ -269,17 +269,17 @@ class TestRefusals:
         msg = self.refused(capsys, "coeffs", "--topology", "infinite", "--jmax", "7")
         assert "exceeds budget 12" in msg
 
-    def test_envelope_depth(self, capsys, monkeypatch):
-        # a real depth failure costs a million tail terms; the CLI path is the same
-        def too_deep(*args, **kwargs):
-            raise EnvelopeDepthError("envelope tail not certified within 3 terms at t=30.0")
-
-        monkeypatch.setattr(bounds, "log_error_envelope", too_deep)
+    def test_envelope_depth(self, capsys):
+        # refused before any tail term is summed
         msg = self.refused(
             capsys, "bounds", "--table", "envelope", "--L", "18", "--t-start", "30",
             "--t-stop", "30", "--t-steps", "1",
         )
-        assert "not certified" in msg
+        assert msg.endswith("envelope tail not certified within 1000000 terms at t=30.0")
+
+    def test_ring_covered_by_the_blockade(self, capsys):
+        msg = self.refused(capsys, "coeffs", "--topology", "ring", "--L", "3", "--lambda", "3")
+        assert "blockade range 3 covers the whole ring of 3 sites" in msg
 
     def test_config_without_path(self, capsys):
         assert self.refused(capsys, "coeffs", "--config") == "blockade: error: --config needs a path"

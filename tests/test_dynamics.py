@@ -30,10 +30,12 @@ from blockade.dynamics import (
 )
 from blockade.series import (
     correlation,
+    correlation_coefficients,
     density,
     density_coefficients,
     general_word,
     local_number,
+    word_coefficients,
 )
 from blockade.words import RAISE, Letter, line, make_word, ring
 
@@ -168,6 +170,9 @@ class TestEvolve:
             build_basis,
             lambda m: evolve(m, density(), [0.5]),
             lambda m: taylor_oracle(m, density(), 1),
+            lambda m: density_coefficients(m, 1),
+            lambda m: correlation_coefficients(m, 4, 1),
+            lambda m: word_coefficients(m, make_word({1: RAISE}), 1),
         )
         messages = set()
         for route in routes:
@@ -222,6 +227,26 @@ class TestTaylorOracle:
         model, obs, jmax = case
         got = taylor_oracle(model, obs, jmax).ad_expectations
         assert got == full_space_ad_expectations(model, obs, jmax)
+
+    @given(oracle_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_symbolic_series_equals_oracle(self, case):
+        # the two independent exact routes, every order and observable kind
+        model, obs, jmax = case
+        if obs.kind == "density":
+            sym = density_coefficients(model, jmax).values
+        else:
+            if obs.kind == "local_number":
+                word = make_word({obs.site: Letter.NUM})
+            elif obs.kind == "correlation":
+                word = make_word({obs.site: Letter.NUM, obs.site + obs.distance: Letter.NUM})
+            else:
+                word = obs.word
+            sym = word_coefficients(model, word, 2 * jmax).values
+        ads = taylor_oracle(model, obs, jmax).ad_expectations
+        assert [v * math.factorial(n) * (-1) ** (n // 2) for n, v in enumerate(sym)] == [
+            ads[n] for n in range(2 * jmax + 1)
+        ]
 
     @pytest.mark.parametrize(
         "model, obs",

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from blockade import bounds
+from blockade.dynamics import taylor_oracle
 from blockade.series import (
     SeriesCoefficients,
     _deficit,
@@ -57,6 +58,18 @@ class TestDensity:
     def test_two_site_ring(self):
         sc = density_coefficients(ring(2), 2)
         assert sc.even_values() == [F(1), F("-2/3")]
+
+    def test_symbolic_confirms_oracle_through_t16(self):
+        # ring 18 is universal through j = 17, so its exact coefficients are
+        # the infinite chain's; the symbolic route confirms the first eight
+        sc = density_coefficients(infinite_chain(1), 8, order_budget=16)
+        orc = taylor_oracle(ring(18), density(), 17)
+        assert sc.even_values() == orc.coefficients[:8]
+
+    def test_ring_covered_by_the_blockade_refused(self):
+        with pytest.raises(ValueError, match="covers the whole ring of 3 sites"):
+            density_coefficients(ring(3, 3), 2)
+        assert density_coefficients(ring(4, 3), 2).even_values()[0] == 1
 
     @pytest.mark.parametrize("L", [6, 9])
     def test_open_chain_closed_forms(self, L):

@@ -1,12 +1,16 @@
 """Word algebra: letter products, words, commutators, serialization."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockade import bounds
+from blockade import bounds, words as W
+from blockade.series import correlation_coefficients, density_coefficients, word_coefficients
 from blockade.words import (
     LOWER,
     NUM,
@@ -31,6 +35,7 @@ from blockade.words import (
     ring,
     single_count,
     single_site,
+    translation_classes,
     vacuum_expectation,
     word_adjoint,
     word_length,
@@ -373,3 +378,204 @@ class TestSerialization:
     def test_deterministic(self):
         op = ad_power(number_operator(0), infinite_chain(), 3)
         assert dumps_operator(op) == dumps_operator(loads_operator(dumps_operator(op)))
+
+    @pytest.mark.parametrize(
+        "seed, model, top, digest",
+        [
+            (number_operator(0), infinite_chain(1), 6, "9aada4bc0a904664"),
+            (number_operator(0), infinite_chain(2), 4, "1d074a85e4c4d9fd"),
+            (number_operator(1), ring(2), 4, "d561275cc2cba5a0"),
+            (number_operator(1), ring(5), 5, "42564582ce2ecdc6"),
+            (number_operator(2), ring(4, 3), 4, "8f1fbfce64046ae6"),
+            (number_operator(3), line(6), 5, "1c3e2a38e9715298"),
+            (OperatorSum({make_word({0: NUM, 2: NUM}): 1}), infinite_chain(1), 4, "ab2b704bd9a844d3"),
+        ],
+    )
+    def test_nested_commutator_bytes(self, seed, model, top, digest):
+        # digests of the serialised ad^0..ad^top, as written by the tuple engine
+        h = hashlib.sha256()
+        for j in range(top + 1):
+            op = ad_power(seed, model, j)
+            assert dumps_operator(op) == dumps_operator(ref_ad_power(seed, model, j))
+            h.update(dumps_operator(op).encode() + b"\n\n")
+        assert h.hexdigest()[:16] == digest
+
+
+# ---------------------------------------------------------------------------
+# tuple reference
+# ---------------------------------------------------------------------------
+#
+# The site-by-site merge of (site, Letter) words, with the product table
+# FULL_TABLE, that the packed kernel replaced.  It shares no code with
+# `blockade.words` beyond `make_word` and the model's neighbourhoods, and is
+# the differential oracle for the packed kernel and the translation classes.
+
+
+def ref_word_mul(x, y):
+    out = dict(x)
+    for s, a in y:
+        if s in out:
+            p = FULL_TABLE[(out[s], a)]
+            if p is None:
+                return None
+            out[s] = p
+        else:
+            out[s] = a
+    return make_word(out)
+
+
+def ref_drive_words(model, k):
+    k = model.canonical_site(k)
+    flank = {j: PROJ for j in model.neighborhood(k)}
+    return make_word({**flank, k: LOWER}), make_word({**flank, k: RAISE})
+
+
+def ref_commutator_H(op, model):
+    lam = model.blockade_range
+    acc = {}
+    for w, c in op.terms.items():
+        near = {k for s, _ in w for k in range(s - lam, s + lam + 1)}
+        near = {model.canonical_site(k) for k in near if model.contains_site(k)}
+        for k in sorted(near):
+            for h in ref_drive_words(model, k):
+                for p, sign in ((ref_word_mul(h, w), 1), (ref_word_mul(w, h), -1)):
+                    if p is not None:
+                        acc[p] = acc.get(p, 0) + sign * c
+    return OperatorSum(acc)
+
+
+def ref_ad_power(op, model, order):
+    for _ in range(order):
+        op = ref_commutator_H(op, model)
+    return op
+
+
+def ref_vacuum_expectation(op):
+    return sum(c for w, c in op.terms.items() if all(a is PROJ for _, a in w))
+
+
+def ref_commutator_vacuum_expectation(op, model):
+    total = 0
+    for w, c in op.terms.items():
+        singles = [s for s, a in w if a in (LOWER, RAISE)]
+        if len(singles) != 1:
+            continue
+        for h in ref_drive_words(model, singles[0]):
+            for p, sign in ((ref_word_mul(h, w), 1), (ref_word_mul(w, h), -1)):
+                if p is not None and all(a is PROJ for _, a in p):
+                    total += sign * c
+    return total
+
+
+def ref_series(seed, model, max_order):
+    """Per-site Taylor data of <seed(t)>, one commutator per order."""
+    vals = [Fraction(ref_vacuum_expectation(seed))]
+    cur = seed
+    for order in range(1, max_order + 1):
+        exp = ref_commutator_vacuum_expectation(cur, model)
+        vals.append(Fraction((-1) ** (order // 2) * exp, math.factorial(order)))
+        if order < max_order:
+            cur = ref_commutator_H(cur, model)
+    return tuple(vals)
+
+
+@st.composite
+def model_and_operator(draw):
+    topology = draw(st.sampled_from(["ring", "line", "infinite"]))
+    lam = draw(st.integers(1, 3))
+    if topology == "ring":
+        model = ring(draw(st.integers(2, 12)), lam)
+        site = st.integers(1, model.size)
+    elif topology == "line":
+        model = line(draw(st.integers(1, 12)), lam)
+        site = st.integers(1, model.size)
+    else:
+        model = infinite_chain(lam)
+        site = st.integers(-5, 5)
+    word = st.dictionaries(site, st.sampled_from(LETTERS), max_size=4).map(make_word)
+    coeff = st.integers(-3, 3).filter(bool)
+    return model, OperatorSum(draw(st.dictionaries(word, coeff, min_size=1, max_size=4)))
+
+
+class TestPackedKernel:
+    @given(model_and_operator())
+    @example((ring(2), number_operator(2)))
+    @example((ring(4, 3), OperatorSum({make_word({1: NUM, 3: RAISE}): 1, make_word({2: PROJ}): -2})))
+    @example((ring(3, 3), OperatorSum({make_word({1: LOWER, 2: NUM}): 1})))
+    @settings(max_examples=100, deadline=None)
+    def test_commutators_match_tuple_reference(self, case):
+        model, op = case
+        for _ in range(3):
+            if len(op.terms) > 200:
+                break  # enough words to cover every overlap pattern; keeps examples cheap
+            want = ref_commutator_H(op, model)
+            assert commutator_H(op, model) == want
+            assert commutator_vacuum_expectation(op, model) == ref_commutator_vacuum_expectation(
+                op, model
+            )
+            assert vacuum_expectation(op) == ref_vacuum_expectation(op)
+            op = want
+
+    @given(words(), words())
+    @settings(max_examples=200)
+    def test_word_mul_matches_tuple_reference(self, x, y):
+        assert word_mul(x, y) == ref_word_mul(x, y)
+
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda L: st.tuples(
+                st.just(L),
+                st.lists(st.sampled_from(LETTERS + (None,)), min_size=L, max_size=L),
+                st.integers(0, L - 1),
+            )
+        )
+    )
+    def test_ring_class_is_a_canonical_rotation(self, case):
+        L, letters, r = case
+        placed = [(s, a) for s, a in enumerate(letters) if a is not None]
+
+        def rotated(shift):
+            return W._pack(make_word({(s + shift) % L + 1: a for s, a in placed}), 1)
+
+        rep = W._ring_class(rotated(0), L)
+        assert W._ring_class(rotated(r), L) == rep
+        assert rep in {rotated(q) for q in range(L)}
+
+    @given(words(4, 6), st.integers(-9, 9))
+    def test_shift_class_is_the_word_from_bit_zero(self, w, shift):
+        moved = tuple((s + shift) for s, _ in w)
+        x = make_word({s + shift: a for s, a in w})
+        base = min(moved, default=0) - 3
+        rep = W._shift_class(W._pack(x, base))
+        assert rep == W._pack(w, w[0][0] if w else 0)
+
+    def test_translation_classes_of_translates_coincide(self):
+        for model, sites in ((ring(7, 2), range(1, 8)), (infinite_chain(2), range(-3, 4))):
+            op = lambda k: OperatorSum({make_word({k: NUM, k + 3: LOWER}): 1})
+            classes = {tuple(translation_classes(op(k), model).items()) for k in sites}
+            assert len(classes) == 1
+
+    @pytest.mark.parametrize("L", range(3, 13))
+    def test_ring_class_series_equals_per_site_series(self, L):
+        model = ring(L)
+        assert density_coefficients(model, 5).values == ref_series(number_operator(1), model, 10)
+
+    @pytest.mark.parametrize(
+        "model, order",
+        [(infinite_chain(1), 10), (infinite_chain(2), 8), (ring(5, 2), 8), (ring(8, 2), 8), (ring(11, 2), 8)],
+    )
+    def test_class_series_equals_per_site_series(self, model, order):
+        site = 0 if model.topology == "infinite" else 1
+        got = density_coefficients(model, order // 2).values
+        assert got == ref_series(number_operator(site), model, order)
+
+    @pytest.mark.parametrize("model, d", [(infinite_chain(1), 2), (ring(9), 3), (ring(10, 2), 4)])
+    def test_pair_class_series_equals_per_site_series(self, model, d):
+        seed = OperatorSum({make_word({1: NUM, 1 + d: NUM}): 1})
+        assert correlation_coefficients(model, d, 4).values == ref_series(seed, model, 8)
+
+    @pytest.mark.parametrize("model", [infinite_chain(1), ring(6), ring(7, 2)])
+    def test_word_class_series_equals_per_site_series(self, model):
+        w = make_word({2: RAISE, 3: PROJ, 4: NUM})
+        got = word_coefficients(model, w, 7).values
+        assert got == ref_series(OperatorSum({w: 1}), model, 7)
