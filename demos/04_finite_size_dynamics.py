@@ -10,7 +10,7 @@ watch the window widen further.
 import numpy as np
 
 from blockade.dynamics import evolve, g2, taylor_oracle, universal_window
-from blockade.series import density
+from blockade.series import density, eval_even_series
 from blockade.words import line, ring
 
 L = 12
@@ -20,21 +20,12 @@ ring_vals = evolve(ring(L), density(), times).values
 line_vals = evolve(line(L), density(), times).values
 
 # size-free series truncated at the certified threshold of this ring
-orc = taylor_oracle(ring(L), density(), L - 1)
-coeffs = [float(c) for c in orc.coefficients]
-
-
-def truncated(t):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = (acc + c) * t * t
-    return acc
-
+coeffs = taylor_oracle(ring(L), density(), L - 1).coefficients
 
 print(f"density on {L} sites: ring vs open chain vs truncated series")
 print(f"{'t':>5} {'ring':>10} {'chain':>10} {'series':>10}")
 for t, rv, lv in zip(times, ring_vals, line_vals):
-    print(f"{t:>5} {rv:>10.6f} {lv:>10.6f} {truncated(t):>10.6f}")
+    print(f"{t:>5} {rv:>10.6f} {lv:>10.6f} {eval_even_series(coeffs, t):>10.6f}")
 
 # --- the universal window grows with the size ----------------------------------
 

@@ -8,9 +8,11 @@ are ground), so building a basis costs memory in proportion to its
 dimension.  On an open chain with nearest-neighbour blockade the subspace is
 Fibonacci-dimensional and carries a natural recursive ordering: the basis of
 L sites is the basis of L-1 sites with a ground site appended, followed by
-the basis of L-2 sites with a ground-excited pair appended.  The drive and
-the total-excitation counter then inherit block recursions, which this
-module implements alongside a generic bit-flip construction.
+the basis of L-2 sites with a ground-excited pair appended.  Ascending order
+is that recursive order (every state of the second block sets the top bit),
+so one enumerator serves every lattice.  The drive and the total-excitation
+counter then inherit block recursions, which this module implements
+alongside a generic bit-flip construction.
 
 The vacuum is invariant under the lattice symmetries (site reflection on a
 line, reflections and rotations on a ring), and so is every power of the
@@ -51,7 +53,7 @@ __all__ = [
     "dumps_matrix",
 ]
 
-_ENUMERATION_LIMIT = 26  # cap on the enumerated lattices (open nn chains use the recursion)
+_ENUMERATION_LIMIT = 26  # cap on the enumerated lattices
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +186,6 @@ class BlockadeBasis:
         return "".join("1" if occupation >> k & 1 else "0" for k in range(L))
 
 
-def _recursion_states_line_nn(L: int) -> list[int]:
-    """Open-chain nearest-neighbour basis in the recursive order: the L-site
-    list is the (L-1)-site list (site L ground) followed by the (L-2)-site
-    list with sites L-1, L in the ground-excited pair."""
-    if L == 1:
-        return [0, 1]
-    prev, cur = [0, 1], [0, 1, 2]  # L = 1, 2
-    if L == 2:
-        return cur
-    for n in range(3, L + 1):
-        nxt = list(cur) + [s | (1 << (n - 1)) for s in prev]
-        prev, cur = cur, nxt
-    return cur
-
-
 def _admissible_states(L: int, lam: int, cyclic: bool) -> list[int]:
     """Ascending list of the L-site bitsets whose excited sites lie more than
     ``lam`` apart (cyclically when ``cyclic``).
@@ -224,21 +211,15 @@ def _admissible_states(L: int, lam: int, cyclic: bool) -> list[int]:
 def build_basis(model: ModelSpec) -> BlockadeBasis:
     """Construct the blockade basis for a finite lattice.
 
-    Open chains with nearest-neighbour blockade use the recursive ordering
-    (all-ground state first, dimension Fibonacci); every other case
-    enumerates admissible bitsets in ascending order, which also puts the
-    all-ground state first.  The lattice domain is checked by `_finite_size`.
+    Admissible bitsets are enumerated in ascending order, which puts the
+    all-ground state first and, on open nearest-neighbour chains, is the
+    recursive ordering.  The lattice domain is checked by `_finite_size`, and
+    lattices past the enumeration cap are refused before anything is built.
     """
     L = _finite_size(model)
-    lam = model.blockade_range
-    if model.topology == "line" and lam == 1:
-        states = tuple(_recursion_states_line_nn(L))
-    else:
-        if L > _ENUMERATION_LIMIT:
-            raise ValueError(
-                f"bitset enumeration capped at {_ENUMERATION_LIMIT} sites (asked {L})"
-            )
-        states = tuple(_admissible_states(L, lam, cyclic=model.topology == "ring"))
+    if L > _ENUMERATION_LIMIT:
+        raise ValueError(f"bitset enumeration capped at {_ENUMERATION_LIMIT} sites (asked {L})")
+    states = tuple(_admissible_states(L, model.blockade_range, cyclic=model.topology == "ring"))
     index = {s: i for i, s in enumerate(states)}
     return BlockadeBasis(model=model, states=states, index=index)
 

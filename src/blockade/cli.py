@@ -26,6 +26,7 @@ from .series import (
     correlation_coefficients,
     density,
     density_coefficients,
+    eval_even_series,
     records_to_csv,
     universality_threshold,
 )
@@ -204,13 +205,7 @@ def cmd_simulate(args) -> int:
         else:
             sc = density_coefficients(infinite_chain(args.lambda_b), jmax)
             vals = sc.even_values()
-        overlay = []
-        for t in times:
-            acc = 0.0
-            for c in reversed(vals):
-                acc = (acc + float(c)) * t * t
-            overlay.append(acc)
-        columns.append((f"universal_{jmax}", overlay))
+        columns.append((f"universal_{jmax}", [eval_even_series(vals, t) for t in times]))
 
     if args.format == "json":
         payload = {

@@ -55,6 +55,7 @@ from .series import (
     correlation_base_site,
     density,
     local_number,
+    pair_blockaded,
 )
 from .words import ModelSpec
 
@@ -270,11 +271,7 @@ def g2(
         raise ValueError("pair correlations need strictly positive times")
     pair = correlation(d, site=site) if site is not None else correlation(d)
     k = correlation_base_site(pair, model)
-    lam = model.blockade_range
-    blocked = d <= lam or (
-        model.topology == "ring" and min(d % model.size, model.size - d % model.size) <= lam
-    )
-    if blocked:
+    if pair_blockaded(model, d):
         numerator = [0.0] * len(times)
     else:
         numerator = evolve(model, pair, times).values
@@ -298,7 +295,7 @@ class SpectralReport:
     dimension: int
     spectrum_asymmetry: float        # max |E_i + E_{dim+1-i}| after sorting
     parity_weight_defect: float      # max | ||even part||^2 - 1/2 |, |E| > 1e-8
-    evenness_defect: float           # max |rho(t) - rho(-t)| on the sample grid
+    evenness_defect: float           # max |rho(t) - rho(-t)|, 0 by construction (cos/sin split)
     parity_anticommutes: bool        # P H + H P == 0, exact integers
     norm_defect: float               # max | ||psi(t)||^2 - 1 | on the sample grid
     zero_mode: bool | None           # smallest |E| < 1e-8 (None if dim is even)

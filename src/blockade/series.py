@@ -68,6 +68,7 @@ __all__ = [
     "universality_threshold",
     "boundary_deficits",
     "eval_series",
+    "eval_even_series",
     "coefficient_records",
     "records_to_csv",
 ]
@@ -131,22 +132,23 @@ def correlation_base_site(obs: ObservableSpec, model: ModelSpec) -> int:
     return 1
 
 
+def pair_blockaded(model: ModelSpec, d: int) -> bool:
+    """Whether two sites ``d`` apart lie within the blockade range (counted
+    cyclically on a ring), so that their pair counter is identically zero."""
+    if model.topology == "ring":
+        d = min(d % model.size, model.size - d % model.size)
+    return d <= model.blockade_range
+
+
 def _validate_correlation(obs: ObservableSpec, model: ModelSpec) -> None:
     d = obs.distance
-    lam = model.blockade_range
     if d is None or d < 1:
         raise ValueError("correlation distance must be a positive integer")
-    if model.topology == "ring":
-        cyc = min(d % model.size, model.size - d % model.size)
-        if cyc <= lam:
-            raise ValueError(
-                f"pair distance {d} lies within the blockade range {lam} on a "
-                f"ring of {model.size} sites; the pair counter is identically zero"
-            )
-    elif d <= lam:
+    if pair_blockaded(model, d):
+        where = f" on a ring of {model.size} sites" if model.topology == "ring" else ""
         raise ValueError(
-            f"pair distance {d} lies within the blockade range {lam}; "
-            "the pair counter is identically zero"
+            f"pair distance {d} lies within the blockade range {model.blockade_range}"
+            f"{where}; the pair counter is identically zero"
         )
     if model.topology == "line":
         k = correlation_base_site(obs, model)
@@ -245,11 +247,9 @@ def _expectation_series(
 # ---------------------------------------------------------------------------
 #
 # The per-site expectation on an open chain depends on the site only through
-# its distance to the nearest end once the other end is out of causal reach of
-# the commutator support.  Site work is therefore memoised in three tiers:
-# deep-bulk sites reuse the infinite-chain value, single-boundary sites reuse
-# an edge value keyed by the distance to that end, and only sites feeling both
-# ends (small chains) are computed on the actual chain.
+# its distances to the two ends, and only up to the commutator reach: an end
+# at least `_support_margin` away is never felt.  Site work is therefore
+# memoised by the unordered pair of end distances, each clipped at the margin.
 
 
 def _support_margin(max_order: int, lam: int) -> int:
@@ -258,47 +258,55 @@ def _support_margin(max_order: int, lam: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _bulk_site_series(lam: int, max_order: int, order_budget: int) -> tuple:
-    model = infinite_chain(lam)
-    return tuple(
-        _expectation_series(OperatorSum({((0, NUM),): 1}), model, max_order, order_budget)
-    )
+def _open_site_series(lam: int, ends: tuple, max_order: int, order_budget: int) -> tuple:
+    """Stored density series of an open-chain site whose end distances are
+    ``ends`` (ascending, clipped at the support margin).
+
+    Clipped on both sides the site is a bulk site and takes the
+    infinite-chain value; otherwise it is site ``near + 1`` of a chain of
+    ``near + far + 1`` sites, whose far end is out of reach once clipped.
+    """
+    near, far = ends
+    if near == _support_margin(max_order, lam):
+        model, site = infinite_chain(lam), 0
+    else:
+        model, site = line(near + far + 1, lam), near + 1
+    seed = observable_operator(local_number(site), model)
+    return tuple(_expectation_series(seed, model, max_order, order_budget))
 
 
-@lru_cache(maxsize=None)
-def _edge_site_series(lam: int, k: int, max_order: int, order_budget: int) -> tuple:
-    # Semi-infinite chain emulated by an open chain long enough that the far
-    # end stays outside the commutator support.
-    probe = line(k + _support_margin(max_order, lam), lam)
-    return tuple(
-        _expectation_series(OperatorSum({((k, NUM),): 1}), probe, max_order, order_budget)
-    )
-
-
-@lru_cache(maxsize=None)
-def _exact_site_series(lam: int, L: int, k: int, max_order: int, order_budget: int) -> tuple:
-    model = line(L, lam)
-    return tuple(
-        _expectation_series(OperatorSum({((k, NUM),): 1}), model, max_order, order_budget)
-    )
-
-
-def _line_site_series(L: int, lam: int, k: int, max_order: int, order_budget: int) -> tuple:
+def _open_chain_density(model: ModelSpec, max_order: int, order_budget: int) -> list:
+    L, lam = model.size, model.blockade_range
     margin = _support_margin(max_order, lam)
-    left = k - 1
-    right = L - k
-    if left >= margin and right >= margin:
-        return _bulk_site_series(lam, max_order, order_budget)
-    if right >= margin:
-        return _edge_site_series(lam, k, max_order, order_budget)
-    if left >= margin:
-        return _edge_site_series(lam, L + 1 - k, max_order, order_budget)
-    return _exact_site_series(lam, L, k, max_order, order_budget)
+    ends = (tuple(sorted(min(d, margin) for d in (k - 1, L - k))) for k in range(1, L + 1))
+    sites = [_open_site_series(lam, e, max_order, order_budget) for e in ends]
+    return [sum(vals) / L for vals in zip(*sites)]
 
 
 # ---------------------------------------------------------------------------
 # coefficient computations
 # ---------------------------------------------------------------------------
+
+
+def _coefficients(
+    model: ModelSpec, obs: ObservableSpec, max_order: int, order_budget: int
+) -> SeriesCoefficients:
+    """The steps every coefficient entry point shares: check the lattice,
+    expand the observable's seed operator order by order (the open-chain
+    density site by site) and attach the universality metadata."""
+    check_domain(model)
+    if obs.kind == "density" and model.topology == "line":
+        vals = _open_chain_density(model, max_order, order_budget)
+    else:
+        seed = observable_operator(obs, model)
+        vals = _expectation_series(seed, model, max_order, order_budget)
+    return SeriesCoefficients(
+        observable=obs,
+        model=model,
+        values=tuple(vals),
+        universal_up_to=_universal_order_limit(model, obs),
+        odd_orders_imaginary=obs.kind == "word" and bool(single_count(obs.word) % 2),
+    )
 
 
 def density_coefficients(
@@ -307,35 +315,10 @@ def density_coefficients(
     """Exact density coefficients through t^(2*jmax).
 
     Rings and the infinite chain are translation invariant, so a single site
-    carries the answer.  An open chain averages over all sites; reflection
-    symmetry halves the work and the tiered site memo (bulk / edge / exact)
-    collapses the rest.
+    carries the answer.  An open chain averages over all sites, each taken
+    from the site memo keyed by its distances to the chain ends.
     """
-    check_domain(model)
-    max_order = 2 * jmax
-    if model.topology in ("ring", "infinite"):
-        seed = observable_operator(density(), model)
-        vals = _expectation_series(canonicalize(seed, model), model, max_order, order_budget)
-    else:
-        L = model.size
-        lam = model.blockade_range
-        totals = [Fraction(0)] * (max_order + 1)
-        for k in range(1, L // 2 + 1):
-            site_vals = _line_site_series(L, lam, k, max_order, order_budget)
-            for n, v in enumerate(site_vals):
-                totals[n] += 2 * v
-        if L % 2:
-            mid = (L + 1) // 2
-            site_vals = _line_site_series(L, lam, mid, max_order, order_budget)
-            for n, v in enumerate(site_vals):
-                totals[n] += v
-        vals = [v / L for v in totals]
-    return SeriesCoefficients(
-        observable=density(),
-        model=model,
-        values=tuple(vals),
-        universal_up_to=_universal_order_limit(model, density()),
-    )
+    return _coefficients(model, density(), 2 * jmax, order_budget)
 
 
 def correlation_coefficients(
@@ -345,16 +328,7 @@ def correlation_coefficients(
 
     Distances inside the blockade range are rejected: the pair counter is
     identically zero there."""
-    check_domain(model)
-    obs = correlation(distance)
-    seed = observable_operator(obs, model)
-    vals = _expectation_series(seed, model, 2 * jmax, order_budget)
-    return SeriesCoefficients(
-        observable=obs,
-        model=model,
-        values=tuple(vals),
-        universal_up_to=_universal_order_limit(model, obs),
-    )
+    return _coefficients(model, correlation(distance), 2 * jmax, order_budget)
 
 
 def word_coefficients(
@@ -365,17 +339,7 @@ def word_coefficients(
     Only orders with the parity of the word's single-letter count survive;
     the rest are exact zeros.  When that count is odd the odd orders carry a
     leftover factor of i on top of the stored rational."""
-    check_domain(model)
-    obs = general_word(A)
-    seed = observable_operator(obs, model)
-    vals = _expectation_series(seed, model, jmax, order_budget)
-    return SeriesCoefficients(
-        observable=obs,
-        model=model,
-        values=tuple(vals),
-        universal_up_to=_universal_order_limit(model, obs),
-        odd_orders_imaginary=bool(single_count(A) % 2),
-    )
+    return _coefficients(model, general_word(A), jmax, order_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +443,13 @@ def boundary_deficits(
 # ---------------------------------------------------------------------------
 
 
+def _horner(values, t: float) -> float:
+    acc = 0.0
+    for c in reversed(values):
+        acc = acc * t + float(c)
+    return acc
+
+
 def eval_series(
     coeffs: SeriesCoefficients, t: float, truncation: int | None = None
 ) -> float:
@@ -494,10 +465,14 @@ def eval_series(
         raise ValueError(
             f"truncation {n_max} exceeds the {coeffs.max_order} available orders"
         )
-    acc = 0.0
-    for n in range(n_max, -1, -1):
-        acc = acc * t + float(coeffs.values[n])
-    return acc
+    return _horner(coeffs.values[: n_max + 1], t)
+
+
+def eval_even_series(coefficients, t: float) -> float:
+    """Evaluate sum_j c_j t^(2j) for ``coefficients`` c_1, c_2, ... (the
+    layout of `SeriesCoefficients.even_values` and of the oracle's
+    coefficients) by the same Horner rule as `eval_series`."""
+    return _horner([0] + [x for c in coefficients for x in (0, c)], t)
 
 
 def coefficient_records(coeffs: SeriesCoefficients) -> list[dict]:

@@ -110,8 +110,6 @@ class TestEnumeration:
                 continue
             model = ring(L, lam) if topology == "ring" else line(L, lam)
             states = list(build_basis(model).states)
-            if topology == "line" and lam == 1:
-                states.sort()  # the recursive ordering
             assert states == filtered_states(L, lam, cyclic=topology == "ring")
 
     def test_memory_follows_the_dimension(self):
@@ -128,6 +126,18 @@ class TestEnumeration:
     def test_cap_message(self):
         with pytest.raises(ValueError, match="bitset enumeration capped at 26 sites"):
             build_basis(ring(27, 2))
+
+    @pytest.mark.parametrize("L", [27, 40])
+    def test_open_chain_refused_before_enumerating(self, L):
+        # line(40) has 267,914,296 admissible states
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"capped at 26 sites \\(asked {L}\\)"):
+                build_basis(line(L))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestOrbitSector:

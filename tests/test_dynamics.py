@@ -286,6 +286,7 @@ class TestG2:
     def test_blockaded_distance_vanishes(self):
         assert g2(ring(8), 1, [0.5]).values == [0.0]
         assert g2(ring(9, 2), 2, [0.5]).values == [0.0]
+        assert g2(ring(8), 7, [0.5]).values == [0.0]  # one step the other way round
 
     def test_zero_time_rejected(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from blockade.series import (
     correlation_coefficients,
     density,
     density_coefficients,
+    eval_even_series,
     eval_series,
     general_word,
     local_number,
@@ -78,6 +79,15 @@ class TestDensity:
         assert c[0] == 1
         assert c[1] == -(1 - Fraction(2, 3 * L))
         assert c[2] == Fraction(3, 5) * (1 - Fraction(38, 27 * L))
+
+    @pytest.mark.parametrize(
+        "model, jmax", [(line(L), 2) for L in range(17, 21)] + [(line(17, 2), 1)]
+    )
+    def test_open_chain_equals_oracle_with_bulk_sites(self, model, jmax):
+        # the first chains with a bulk site at this order (both ends at least
+        # the support margin away); every other site feels one end only
+        sym = density_coefficients(model, jmax).even_values()
+        assert sym == taylor_oracle(model, density(), jmax).coefficients
 
     def test_leading_coefficient_everywhere(self):
         for model in (infinite_chain(2), ring(5, 2), line(4, 3), ring(3)):
@@ -217,6 +227,14 @@ class TestBoundaryDeficits:
         for j in range(1, 4):
             assert c8[j - 1] == uni[j - 1] * (1 - qs[j - 1] / 8)
 
+    def test_deficit_identity_with_range2_bulk_sites(self):
+        # line(33, 2) is the first range-2 chain with a bulk site at t^4,
+        # past every lattice the oracle can enumerate
+        q = boundary_deficits(2, L_probe=12, blockade_range=2)[1]
+        uni = density_coefficients(infinite_chain(2), 2).coefficient(4)
+        c = density_coefficients(line(33, 2), 2).coefficient(4)
+        assert c == uni * (1 - q / 33)
+
 
 class TestEvalSeries:
     def test_zero_time(self):
@@ -236,6 +254,12 @@ class TestEvalSeries:
         diffs = [b - a for a, b in zip(partials, partials[1:])]
         assert partials[0] == pytest.approx(t * t)
         assert all(d1 * d2 < 0 for d1, d2 in zip(diffs, diffs[1:]))
+
+    def test_even_layout_is_the_same_evaluator(self):
+        sc = density_coefficients(infinite_chain(), 5)
+        for i in range(-40, 41):
+            t = 0.05 * i
+            assert eval_even_series(sc.even_values(), t) == eval_series(sc, t)
 
     def test_truncation_capped(self):
         sc = density_coefficients(infinite_chain(), 2)
