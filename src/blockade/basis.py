@@ -48,7 +48,6 @@ __all__ = [
     "parity_matrix",
     "drive_matrix_recursive",
     "total_number_matrix_recursive",
-    "cyclic_shift_permutation",
     "orbit_sector",
     "dumps_matrix",
 ]
@@ -404,20 +403,6 @@ def parity_matrix(basis: BlockadeBasis) -> SparseIntMatrix:
     )
 
 
-def cyclic_shift_permutation(basis: BlockadeBasis) -> list[int]:
-    """Index permutation induced by shifting every site of a ring by one."""
-    model = basis.model
-    if model.topology != "ring":
-        raise ValueError("cyclic shifts need a ring")
-    L = model.size
-    mask = (1 << L) - 1
-    out = []
-    for s in basis.states:
-        shifted = ((s << 1) | (s >> (L - 1))) & mask
-        out.append(basis.index[shifted])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # lattice-symmetry orbit sums
 # ---------------------------------------------------------------------------
@@ -450,21 +435,31 @@ def orbit_sector(
     <u|O|v> = sum c_u(r') O(r', r) c_v(r), where O(r', r) sums the full-space
     entries of `observable_matrix` over the pair of orbits.  Both matrices
     are exact integer matrices.
+
+    A symmetric drive joins orbits r' and r by as many edges seen from
+    either side, n_r' A(r', r) = n_r A(r, r') with n_r the orbit size.  The
+    oracle's bra H^m e0 and `np.linalg.eigh` rely on that symmetry, so it is
+    checked here in integers and a `ValueError` is raised when it fails.
     """
     basis = build_basis(model)
     orbit_of: dict = {}
-    firsts = []
+    firsts, sizes = [], []
     for s in basis.states:
         if s not in orbit_of:
-            for t in _orbit(s, model):
+            members = _orbit(s, model)
+            for t in members:
                 orbit_of[t] = len(firsts)
             firsts.append(s)
+            sizes.append(len(members))
     masks = _neighborhood_masks(model)
     drive: dict = {}
     for r, s in enumerate(firsts):
         for t in _flip_neighbours(s, masks):
             key = (r, orbit_of[t])
             drive[key] = drive.get(key, 0) + 1
+    for (r, c), v in drive.items():
+        if sizes[r] * v != sizes[c] * drive.get((c, r), 0):
+            raise ValueError(f"drive of {model} is not symmetric between orbits {r} and {c}")
     observable: dict = {}
     states = basis.states
     for (i, j), v in observable_matrix(model, basis, obs).entries.items():

@@ -7,8 +7,10 @@ commutator can generate.  The building block is
     kappa(a) = max_{t >= 0} t^(a - t),
 
 whose maximiser tau solves ``a/tau - 1 - ln(tau) = 0`` and whose companion
-``omega(a) = a / tau(a)`` solves ``omega + ln(omega) = 1 + ln(a)`` and grows
-like ``ln a``.  Two bound families are used:
+``omega(a) = a / tau(a)`` solves ``omega + ln(omega) = 1 + ln(a)``, that is
+``omega e^omega = e a``: omega(a) = W(e a), the principal branch of the
+Lambert W function (Corless, Gonnet, Hare, Jeffrey & Knuth, Adv. Comput.
+Math. 5, 329 (1996)), which grows like ``ln a``.  Two bound families are used:
 
 - density class:  |c_j| <= 2 (6 lam)^(2j-1) kappa_{2j + 1/lam - 1} / (2j)!
 - word class:     |c_n| <= (12 lam)^n  kappa_{n + ell/(2 lam) - 1} / n!
@@ -20,15 +22,19 @@ certified envelope on the finite-size error; the envelope shrinks with L at a
 logarithmic rate governed by the omega products.
 
 Everything is evaluated in natural-log space (the bounds overflow any linear
-float representation by order j ~ 50) with factorials via lgamma.  All
-functions are pure and thread-safe.
+float representation by order j ~ 50) with factorials via lgamma, over whole
+index ranges at once: W is solved for an array of arguments with every
+element residual-checked, and a tail is summed in chunks by a running
+log-sum-exp (``np.logaddexp.accumulate``) until its geometric closure is
+negligible.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "KappaValue",
@@ -51,6 +57,10 @@ TAIL_RELATIVE_CUTOFF = 1e-18
 TAIL_TERM_CAP = 10**6
 
 _OVERFLOW_LOG = math.log(1e306)
+_HALLEY_STEPS = 2  # from the seed below, converged to rounding for a in (1e-300, 1e300)
+_CHUNK_FIRST = 256  # tail chunks double from here up to the cap, which bounds
+_CHUNK_CAP = 2048  # memory and keeps the arrays of a chunk in cache
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 
 
 @dataclass(frozen=True)
@@ -63,39 +73,35 @@ class KappaValue:
     log_kappa: float
 
 
-def _solve_tau_uncached(a: float) -> float:
-    """Unique root of g(t) = a/t - 1 - ln t, Newton with bisection fallback.
+def _solve(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """tau, omega and log_kappa at every element of an array of a > 0.
 
-    g is strictly decreasing on (0, inf) and changes sign between min(1, a)
-    and max(1, a), so the bracket never fails.
+    omega = W(e a) comes from Halley steps on f(w) = w - 1 + ln(w / a), which
+    is w + ln w - 1 - ln a written so that small a keeps its digits, seeded
+    by Winitzki's approximation of W.  The step count is fixed, so each
+    element's value does not depend on the array around it.  Both defining
+    residuals are checked on every element.
     """
-    if a == 1.0:
-        return 1.0
-    lo, hi = min(1.0, a), max(1.0, a)
-    t = 0.5 * (lo + hi)
-    for _ in range(200):
-        g = a / t - 1.0 - math.log(t)
-        if abs(g) < RESIDUAL_TOL:
-            return t
-        dg = -a / (t * t) - 1.0 / t
-        step = t - g / dg
-        if not (lo < step < hi):
-            # keep the bracket: g > 0 means the root lies above t
-            if g > 0.0:
-                lo = t
-            else:
-                hi = t
-            step = 0.5 * (lo + hi)
-        else:
-            if g > 0.0:
-                lo = t
-            else:
-                hi = t
-        t = step
-    raise ArithmeticError(f"tau solve did not converge for a={a}")
-
-
-_solve_tau = lru_cache(maxsize=1 << 20)(_solve_tau_uncached)
+    a = np.asarray(a, dtype=float)
+    w = np.log1p(math.e * a)
+    w -= w * np.log1p(w) / (2.0 + w)
+    for _ in range(_HALLEY_STEPS):
+        f = w - 1.0 + np.log(w / a)
+        w1 = w + 1.0
+        w -= w * f * w1 / (w1 * w1 + 0.5 * f)
+    w[a == 1.0] = 1.0
+    tau = a / w
+    log_tau = np.log(tau)
+    res_tau = np.abs(a / tau - 1.0 - log_tau)
+    res_om = np.abs(w + np.log(w) - 1.0 - np.log(a))
+    ok = (res_tau <= RESIDUAL_TOL) & (res_om <= 10 * RESIDUAL_TOL)  # False at NaN
+    if not ok.all():
+        i = np.flatnonzero(~ok)[0]
+        raise ArithmeticError(
+            f"kappa residuals too large at a={a.flat[i]}: "
+            f"{res_tau.flat[i]:.2e}, {res_om.flat[i]:.2e}"
+        )
+    return tau, w, (a - tau) * log_tau
 
 
 def kappa(a: float) -> KappaValue:
@@ -106,47 +112,61 @@ def kappa(a: float) -> KappaValue:
     """
     if a <= 0:
         raise ValueError(f"kappa needs a > 0, got {a}")
-    tau = _solve_tau(float(a))
-    om = a / tau
-    res_tau = abs(a / tau - 1.0 - math.log(tau))
-    res_om = abs(om + math.log(om) - 1.0 - math.log(a))
-    if res_tau > RESIDUAL_TOL or res_om > 10 * RESIDUAL_TOL:
-        raise ArithmeticError(
-            f"kappa residuals too large at a={a}: {res_tau:.2e}, {res_om:.2e}"
-        )
-    return KappaValue(a=float(a), tau=tau, omega=om, log_kappa=(a - tau) * math.log(tau))
+    tau, om, lk = (float(v[0]) for v in _solve([a]))
+    return KappaValue(a=float(a), tau=tau, omega=om, log_kappa=lk)
 
 
 def log_kappa(a: float) -> float:
     return kappa(a).log_kappa
 
 
-# omega at integer arguments appears in long products; cache values and the
-# prefix sums of their logs.
-_OMEGA: list[float] = [float("nan")]  # 1-based
-_LOG_OMEGA_PREFIX: list[float] = [0.0]
-
-
 def omega(k: int) -> float:
-    """omega_k for integer k >= 1 (cached)."""
+    """omega_k for integer k >= 1."""
     if k < 1:
         raise ValueError("omega is tabulated for integer k >= 1")
-    while len(_OMEGA) <= k:
-        i = len(_OMEGA)
-        _OMEGA.append(kappa(float(i)).omega)
-        _LOG_OMEGA_PREFIX.append(_LOG_OMEGA_PREFIX[-1] + math.log(_OMEGA[-1]))
-    return _OMEGA[k]
+    return float(_solve([k])[1][0])
 
 
 def _log_omega_product(n: int) -> float:
     """ln(omega_1 * ... * omega_n)."""
-    omega(max(n, 1))
-    return _LOG_OMEGA_PREFIX[n]
+    return float(np.log(_solve(np.arange(1, n + 1))[1]).sum())
+
+
+def _lgamma(z: np.ndarray) -> np.ndarray:
+    """ln Gamma(z) elementwise for z > 0: Stirling's series from z = 16, whose
+    first omitted term is below 2e-18 there, and `math.lgamma` below 16."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    small = z < 16.0
+    out[small] = [math.lgamma(v) for v in z[small]]
+    big = z[~small]
+    r2 = 1.0 / (big * big)
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = series * r2 + c
+    out[~small] = (big - 0.5) * np.log(big) - big + 0.5 * math.log(2.0 * math.pi) + series / big
+    return out
 
 
 # ---------------------------------------------------------------------------
 # coefficient bounds
 # ---------------------------------------------------------------------------
+
+
+def _log_bounds(j: np.ndarray, lambda_b: int, ell: int, observable_class: str) -> np.ndarray:
+    """`coefficient_bound` at every order of an increasing array j."""
+    if j[0] < 1:
+        raise ValueError("coefficient bounds start at order 1")
+    if observable_class == "density":
+        arg = 2 * j + 1.0 / lambda_b - 1.0
+        log_power = math.log(2.0) + (2 * j - 1) * math.log(6.0 * lambda_b)
+        return log_power + _solve(arg)[2] - _lgamma(2 * j + 1)
+    if observable_class == "word":
+        arg = j + ell / (2.0 * lambda_b) - 1.0
+        if arg[0] <= 0:
+            raise ValueError(f"kappa argument {arg[0]} not positive at order {j[0]}")
+        return j * math.log(12.0 * lambda_b) + _solve(arg)[2] - _lgamma(j + 1)
+    raise ValueError(f"unknown observable class {observable_class!r}")
 
 
 def coefficient_bound(
@@ -162,26 +182,7 @@ def coefficient_bound(
     length ``ell``.  Only j >= 1 is meaningful (the order-0 word coefficient
     is an expectation value, not a commutator count).
     """
-    if j < 1:
-        raise ValueError("coefficient bounds start at order 1")
-    if observable_class == "density":
-        arg = 2 * j + 1.0 / lambda_b - 1.0
-        return (
-            math.log(2.0)
-            + (2 * j - 1) * math.log(6.0 * lambda_b)
-            + log_kappa(arg)
-            - math.lgamma(2 * j + 1)
-        )
-    if observable_class == "word":
-        arg = j + ell / (2.0 * lambda_b) - 1.0
-        if arg <= 0:
-            raise ValueError(f"kappa argument {arg} not positive at order {j}")
-        return (
-            j * math.log(12.0 * lambda_b)
-            + log_kappa(arg)
-            - math.lgamma(j + 1)
-        )
-    raise ValueError(f"unknown observable class {observable_class!r}")
+    return float(_log_bounds(np.array([j]), lambda_b, ell, observable_class)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -197,49 +198,42 @@ class EnvelopeDepthError(ValueError):
     """Tail truncation could not be certified within the configured depth."""
 
 
-def _certified_tail_log(
-    log_term, ratio_majorant, start: int, max_terms: int, t: float, far_ratio=None
-) -> float:
+def _certified_tail_log(chunk, ratio, start: int, max_terms: int, t: float) -> float:
     """Log of a certified upper bound on sum_{i >= start} exp(log_term(i)).
 
-    ``ratio_majorant(i)`` must dominate every term ratio from index i onwards
-    (a monotone-decreasing majorant of term_{i+1}/term_i).  Terms are summed
-    until the geometric closure term_i * rho/(1-rho) drops below the relative
-    cutoff; the closure is then *added*, so truncation can only loosen the
-    bound, never undercut it.
+    ``chunk(lo, hi)`` gives the log terms and the ratio majorants at indices
+    lo..hi-1 as arrays; it is called on consecutive ranges from ``start``,
+    which double in length up to a cap.  The majorant at i must dominate
+    every term ratio term_{i+1}/term_i from index i onwards (monotone
+    decreasing); ``ratio`` evaluates it alone at an index array.  Terms are
+    summed until the geometric closure term_i * rho/(1-rho) drops below the
+    relative cutoff; the closure is then *added*, so truncation can only
+    loosen the bound, never undercut it.
 
     A closure needs rho < 1, and the majorant only decreases, so if it is
     still >= 1 at the last index the sum cannot be certified and is refused
-    before any term is summed.  ``far_ratio`` evaluates that one majorant
-    (default ``ratio_majorant``) without tabulating everything below it; it
-    is consulted only when the majorant at ``start`` is >= 1 too.
+    before any term is summed.
     """
     last = start + max_terms - 1
-    if max_terms < 1 or (
-        ratio_majorant(start) >= 1.0 and (far_ratio or ratio_majorant)(last) >= 1.0
-    ):
+    if max_terms < 1 or min(ratio(np.array([start, last]))) >= 1.0:
         raise EnvelopeDepthError(
             f"envelope tail not certified within {max_terms} terms at t={t}"
         )
     log_cut = math.log(TAIL_RELATIVE_CUTOFF)
-    m = float("-inf")  # running max of the log terms
-    acc = 0.0          # sum(exp(x - m)) over terms seen so far
-    for count in range(max_terms):
-        i = start + count
-        x = log_term(i)
-        if x <= m:
-            acc += math.exp(x - m)
-        else:
-            acc = acc * math.exp(m - x) + 1.0 if m != float("-inf") else 1.0
-            m = x
-        rho = ratio_majorant(i)
-        if rho < 1.0:
-            log_rem = x + math.log(rho) - math.log1p(-rho) if rho > 0.0 else float("-inf")
-            partial = m + math.log(acc)
-            if log_rem <= partial + log_cut:
-                if log_rem > float("-inf"):
-                    acc += math.exp(log_rem - m)
-                return m + math.log(acc)
+    partial = -math.inf  # log of the sum of the terms before lo
+    lo, size = start, _CHUNK_FIRST
+    while lo <= last:
+        hi = min(lo + size, last + 1)
+        x, rho = chunk(lo, hi)
+        sums = np.logaddexp.accumulate(np.concatenate(([partial], x)))[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_rem = x + np.log(rho) - np.log1p(-rho)
+        closed = np.flatnonzero((rho < 1.0) & (log_rem <= sums + log_cut))
+        if closed.size:
+            i = closed[0]
+            return float(np.logaddexp(sums[i], log_rem[i]))
+        partial = sums[-1]
+        lo, size = hi, min(2 * size, _CHUNK_CAP)
     raise EnvelopeDepthError(
         f"envelope tail not certified within {max_terms} terms at t={t}"
     )
@@ -277,53 +271,56 @@ def log_error_envelope(
             # decreasing because omega increases.
             log23 = math.log(2.0 / 3.0)
             log6t = math.log(6.0 * abst)
+            t2 = 36.0 * t * t
+            done = [0, 0.0]  # k and ln(omega_1 ... omega_k) summed so far
 
-            def log_term(j):
-                return log23 + 2 * j * log6t - _log_omega_product(2 * j)
+            def chunk_nn(lo, hi):
+                k, log_product = done
+                om = _solve(np.arange(k + 1, 2 * hi + 1))[1]  # omega_{k+1..2hi}
+                prefix = np.cumsum(np.concatenate(([log_product], np.log(om[:-2]))))
+                done[:] = 2 * hi - 2, prefix[-1]
+                j, off = np.arange(lo, hi), 2 * lo - k  # prefix[off] = ln product to 2 lo
+                return (
+                    log23 + 2 * j * log6t - prefix[off::2],
+                    t2 / (om[off::2] * om[off + 1 :: 2]),
+                )
 
-            def ratio(j):
-                return 36.0 * t * t / (omega(2 * j + 1) * omega(2 * j + 2))
+            def ratio_nn(j):
+                om = _solve(2 * j[:, None] + np.array([1, 2]))[1]
+                return t2 / (om[:, 0] * om[:, 1])
 
-            def far_ratio(j):
-                # the same value, solved directly: omega(k) tabulates all k' < k
-                w = kappa(float(2 * j + 1)).omega * kappa(float(2 * j + 2)).omega
-                return 36.0 * t * t / w
-
-            return _certified_tail_log(log_term, ratio, j0, max_terms, t, far_ratio)
+            return _certified_tail_log(chunk_nn, ratio_nn, j0, max_terms, t)
 
         # kappa form for longer blockade ranges: 2 b_j t^(2j).  The ratio
         # majorant uses kappa_{a+2}/kappa_a <= tau(a+2)^2 <= tau(2j+2)^2 and
         # is monotone decreasing (tau(a)/a = 1/omega(a) decreases).
-        log2 = math.log(2.0)
-        logt2 = 2.0 * math.log(abst)
+        start, log_t_power = j0, 2.0 * math.log(abst)
 
-        def log_term_d(j):
-            return log2 + coefficient_bound(j, lambda_b, 1, "density") + j * logt2
-
-        def ratio_d(j):
-            tau = kappa(float(2 * j + 2)).tau
+        def ratio(j):
+            tau = _solve(2.0 * j + 2)[0]
             return (6.0 * lambda_b * abst * tau) ** 2 / ((2 * j + 1) * (2 * j + 2))
 
-        return _certified_tail_log(log_term_d, ratio_d, j0, max_terms, t)
+    elif observable_class == "word":
+        start, log_t_power = (L - ell) // (2 * lambda_b) + 1, math.log(abst)
+        c = max(1, math.ceil(ell / (2.0 * lambda_b)))
 
-    if observable_class == "word":
-        n0 = (L - ell) // (2 * lambda_b) + 1
-        s = ell / (2.0 * lambda_b)
-        c = max(1, math.ceil(s))
-        log2 = math.log(2.0)
-        logt = math.log(abst)
-
-        def log_term_w(n):
-            return log2 + coefficient_bound(n, lambda_b, ell, "word") + n * logt
-
-        def ratio_w(n):
-            # kappa_{n+s}/kappa_{n+s-1} <= tau(n+s) <= tau(n+c); with integer
-            # c >= s the majorant tau(n+c)/(n+1) is monotone decreasing.
-            tau = kappa(float(n + c)).tau
+        def ratio(n):
+            # kappa_{n+s}/kappa_{n+s-1} <= tau(n+s) <= tau(n+c), s = ell/(2 lam);
+            # with integer c >= s the majorant tau(n+c)/(n+1) is monotone
+            # decreasing.
+            tau = _solve(n + float(c))[0]
             return 12.0 * lambda_b * abst * tau / (n + 1)
 
-        return _certified_tail_log(log_term_w, ratio_w, n0, max_terms, t)
-    raise ValueError(f"unknown observable class {observable_class!r}")
+    else:
+        raise ValueError(f"unknown observable class {observable_class!r}")
+
+    log2 = math.log(2.0)
+
+    def chunk(lo, hi):
+        j = np.arange(lo, hi)
+        return log2 + _log_bounds(j, lambda_b, ell, observable_class) + j * log_t_power, ratio(j)
+
+    return _certified_tail_log(chunk, ratio, start, max_terms, t)
 
 
 def error_envelope(

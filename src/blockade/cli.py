@@ -251,7 +251,7 @@ def cmd_bounds(args) -> int:
         # sense, so the log column always carries the full information
         lines = ["t,E,log_E"]
         for t in _time_grid(args):
-            log_e = bounds.log_error_envelope(args.L, args.lambda_b, args.ell, t)
+            log_e = bounds.log_error_envelope(args.L, args.lambda_b, args.ell, t, args.cls)
             e = repr(math.exp(log_e)) if log_e < 700 else "over-range"
             lines.append(f"{t!r},{e},{log_e!r}")
     elif args.table == "ratio":

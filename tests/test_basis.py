@@ -7,11 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import blockade.basis
 from blockade.basis import (
     SparseIntMatrix,
     blockade_dimension,
     build_basis,
-    cyclic_shift_permutation,
     drive_matrix_recursive,
     dumps_matrix,
     hamiltonian_matrix,
@@ -154,6 +154,19 @@ class TestOrbitSector:
         assert drive.entries == {(0, 1): 4, (1, 0): 1, (1, 2): 1, (2, 1): 2}
         assert number.entries == {(1, 1): 4, (2, 2): 4}
 
+    @pytest.mark.parametrize("model", [ring(8), line(9)])
+    def test_asymmetric_drive_refused(self, model, monkeypatch):
+        def raise_needs_k_plus_2_ground(s, masks):
+            return [
+                s ^ 1 << k
+                for k, m in enumerate(masks)
+                if s >> k & 1 or not s & (m | 1 << k + 2)
+            ]
+
+        monkeypatch.setattr(blockade.basis, "_flip_neighbours", raise_needs_k_plus_2_ground)
+        with pytest.raises(ValueError, match="is not symmetric between orbits"):
+            orbit_sector(model, density())
+
     def test_vacuum_is_orbit_zero(self):
         # the vacuum's L drive neighbours are the single excitations
         for model in (ring(7, 2), line(9), line(8, 3)):
@@ -265,9 +278,20 @@ class TestParity:
 class TestRingTranslation:
     @pytest.mark.parametrize("model", [ring(6), ring(8), ring(7, 2)])
     def test_drive_is_shift_covariant(self, model):
+        # the orbits hold every rotation, and the drive commutes with them
         b = build_basis(model)
+        L, mask = model.size, (1 << model.size) - 1
+
+        def shift(s):
+            return (s << 1 | s >> (L - 1)) & mask
+
+        for s in b.states:
+            rotations = [s]
+            for _ in range(L - 1):
+                rotations.append(shift(rotations[-1]))
+            assert set(rotations) <= blockade.basis._orbit(s, model)
         h = hamiltonian_matrix(model, b)
-        perm = cyclic_shift_permutation(b)
+        perm = [b.index[shift(s)] for s in b.states]
         shifted = {(perm[r], perm[c]): v for (r, c), v in h.entries.items()}
         assert shifted == h.entries
 

@@ -4,15 +4,150 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockade import bounds
+
+
+# ---------------------------------------------------------------------------
+# sequential references: the scalar solver and tail loop the array code replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_tau(a: float) -> float:
+    """Root of g(t) = a/t - 1 - ln t by Newton with bisection fallback."""
+    if a == 1.0:
+        return 1.0
+    lo, hi = min(1.0, a), max(1.0, a)
+    t = 0.5 * (lo + hi)
+    for _ in range(200):
+        g = a / t - 1.0 - math.log(t)
+        if abs(g) < bounds.RESIDUAL_TOL:
+            return t
+        step = t - g / (-a / (t * t) - 1.0 / t)
+        if g > 0.0:
+            lo = t
+        else:
+            hi = t
+        t = step if lo < step < hi else 0.5 * (lo + hi)
+    raise ArithmeticError(f"tau solve did not converge for a={a}")
+
+
+def reference_kappa(a: float) -> tuple[float, float, float]:
+    """(tau, omega, log_kappa) from the scalar solver."""
+    tau = reference_tau(a)
+    return tau, a / tau, (a - tau) * math.log(tau)
+
+
+def reference_bound(j, lam, ell, cls):
+    if cls == "density":
+        a = 2 * j + 1.0 / lam - 1.0
+        return (
+            math.log(2.0) + (2 * j - 1) * math.log(6.0 * lam)
+            + reference_kappa(a)[2] - math.lgamma(2 * j + 1)
+        )
+    a = j + ell / (2.0 * lam) - 1.0
+    return j * math.log(12.0 * lam) + reference_kappa(a)[2] - math.lgamma(j + 1)
+
+
+def reference_tail(L, lam, ell, t, cls):
+    """(log envelope, start index, closing index) by the term-by-term loop."""
+    if cls == "density" and lam == 1:
+        start = L
+        omegas = [None] + [reference_kappa(float(k))[1] for k in range(1, 2 * L - 1)]
+        prefix = [0.0]
+        for w in omegas[1:]:
+            prefix.append(prefix[-1] + math.log(w))
+
+        def log_term(j):
+            while len(prefix) <= 2 * j:
+                omegas.append(reference_kappa(float(len(omegas)))[1])
+                prefix.append(prefix[-1] + math.log(omegas[-1]))
+            return math.log(2.0 / 3.0) + 2 * j * math.log(6.0 * t) - prefix[2 * j]
+
+        def ratio(j):
+            w = reference_kappa(float(2 * j + 1))[1] * reference_kappa(float(2 * j + 2))[1]
+            return 36.0 * t * t / w
+
+    elif cls == "density":
+        start = (L - 1) // lam + 1
+
+        def log_term(j):
+            return math.log(2.0) + reference_bound(j, lam, 1, cls) + 2 * j * math.log(t)
+
+        def ratio(j):
+            tau = reference_kappa(2.0 * j + 2)[0]
+            return (6.0 * lam * t * tau) ** 2 / ((2 * j + 1) * (2 * j + 2))
+
+    else:
+        start = (L - ell) // (2 * lam) + 1
+        c = max(1, math.ceil(ell / (2.0 * lam)))
+
+        def log_term(n):
+            return math.log(2.0) + reference_bound(n, lam, ell, cls) + n * math.log(t)
+
+        def ratio(n):
+            return 12.0 * lam * t * reference_kappa(float(n + c))[0] / (n + 1)
+
+    m, acc = -math.inf, 0.0  # running max of the log terms, sum of exp(x - m)
+    for i in range(start, start + bounds.TAIL_TERM_CAP):
+        x = log_term(i)
+        if x <= m:
+            acc += math.exp(x - m)
+        else:
+            acc = acc * math.exp(m - x) + 1.0 if m > -math.inf else 1.0
+            m = x
+        rho = ratio(i)
+        if rho < 1.0:
+            log_rem = x + math.log(rho) - math.log1p(-rho)
+            if log_rem <= m + math.log(acc) + math.log(bounds.TAIL_RELATIVE_CUTOFF):
+                acc += math.exp(log_rem - m)
+                return m + math.log(acc), start, i
+    raise AssertionError("reference tail not closed")
 
 
 class TestKappa:
     def test_unit_argument_is_exact(self):
         kv = bounds.kappa(1.0)
         assert kv.tau == 1.0 and kv.omega == 1.0 and kv.log_kappa == 0.0
+        assert all(type(v) is float for v in (kv.tau, kv.omega, kv.log_kappa))
+
+    @given(
+        st.floats(min_value=1e-300, max_value=1e7)
+        | st.integers(1, 10**7).map(float)
+        | st.integers(0, 2 * 10**7 - 1).map(lambda k: k + 0.5)
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(1.0 + 2**-52)
+    @example(1e7)
+    def test_array_solver_equals_scalar_reference(self, a):
+        tau, om, lk = (float(v[0]) for v in bounds._solve(np.array([a])))
+        ref_tau, ref_om, ref_lk = reference_kappa(a)
+        assert tau == pytest.approx(ref_tau, rel=1e-12, abs=0)
+        assert om == pytest.approx(ref_om, rel=1e-12, abs=0)
+        # log_kappa is stationary in tau and vanishes at a = 1, where a tau
+        # rounded to a float moves it by about ulp^2
+        assert lk == pytest.approx(ref_lk, rel=1e-12, abs=1e-28)
+
+    def test_unconverged_solver_is_refused(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_HALLEY_STEPS", 0)
+        with pytest.raises(ArithmeticError, match="kappa residuals too large at a=2.5"):
+            bounds.kappa(2.5)
+        with pytest.raises(ArithmeticError):
+            bounds._solve(np.arange(1.0, 1e4))
+        with pytest.raises(ArithmeticError):
+            bounds.log_error_envelope(18, 1, 1, 1.0)
+
+    def test_array_lgamma(self):
+        z = np.concatenate([np.arange(1.0, 4e4), np.arange(0.5, 4e4)])
+        want = np.array([math.lgamma(v) for v in z])
+        got = bounds._lgamma(z)
+        assert np.all(got[want == 0.0] == 0.0)
+        nonzero = want != 0.0
+        assert np.max(np.abs(got[nonzero] / want[nonzero] - 1.0)) < 2e-15
 
     @pytest.mark.parametrize("a", [0.2, 0.9, 2.5, 17.0, 430.0, 1e4, 3e7])
     def test_defining_residuals(self, a):
@@ -128,16 +263,20 @@ class TestEnvelope:
             bounds.log_error_envelope(10, 1, 1, 1.0, "word", max_terms=100)
 
     @pytest.mark.parametrize("lam, cls", [(1, "density"), (2, "density"), (1, "word")])
-    def test_hopeless_depth_refused_up_front(self, lam, cls):
+    def test_hopeless_depth_refused_up_front(self, lam, cls, monkeypatch):
         # the term-ratio majorant is still above 1 at the millionth term, so
         # no closure can certify the tail; summing all of them took ~20 s
-        tabulated = len(bounds._OMEGA)
+        solved = []
+        solve = bounds._solve
+        monkeypatch.setattr(bounds, "_solve", lambda a: solved.append(np.size(a)) or solve(a))
         start = time.perf_counter()
         with pytest.raises(bounds.EnvelopeDepthError) as err:
             bounds.log_error_envelope(18, lam, 1, 30.0, cls)
         assert time.perf_counter() - start < 1.0
         assert str(err.value) == "envelope tail not certified within 1000000 terms at t=30.0"
-        assert len(bounds._OMEGA) == tabulated  # no term was summed, no omega tabulated
+        # one solve of the majorant at the first and the last index: no term
+        # was summed
+        assert solved == [4 if (lam, cls) == (1, "density") else 2]
 
     @pytest.mark.parametrize("lam, cls", [(1, "density"), (2, "density"), (1, "word")])
     def test_up_front_refusal_keeps_every_certifiable_depth(self, lam, cls):
@@ -158,6 +297,58 @@ class TestEnvelope:
                 hi = mid
         assert lo > 1
         assert certified(lo) == bounds.log_error_envelope(6, lam, 1, 0.5, cls)
+
+
+class TestChunkedTail:
+    CASES = [
+        (10, 1, 1, 1.0, "density"),
+        (7, 1, 1, 0.4, "density"),
+        (9, 2, 1, 0.5, "density"),
+        (12, 3, 1, 0.3, "density"),
+        (10, 1, 1, 0.5, "word"),
+        (14, 1, 2, 0.6, "word"),
+        (15, 1, 3, 0.5, "word"),  # ell > 2 lambda: the majorant reads tau(n + 2)
+    ]
+
+    @staticmethod
+    def case_id(c):
+        return f"{c[4]}-lam{c[1]}-ell{c[2]}-t{c[3]}"
+
+    def _closing_depth_is(self, case, depth):
+        L, lam, ell, t, cls = case
+        value = bounds.log_error_envelope(L, lam, ell, t, cls, max_terms=depth)
+        with pytest.raises(bounds.EnvelopeDepthError):
+            bounds.log_error_envelope(L, lam, ell, t, cls, max_terms=depth - 1)
+        return value
+
+    @pytest.mark.parametrize("case", CASES, ids=case_id)
+    def test_equals_sequential_loop(self, case):
+        want, start, closing = reference_tail(*case)
+        got = bounds.log_error_envelope(*case[:4], case[4])
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        # the same closing index: the shortest depth that certifies ends there
+        assert self._closing_depth_is(case, closing - start + 1) == got
+
+    @pytest.mark.parametrize("case", [CASES[1], CASES[3], CASES[4], CASES[6]], ids=case_id)
+    def test_closure_is_added(self, case, monkeypatch):
+        # with a loose cutoff the geometric closure is a visible part of the
+        # bound, so dropping it instead of adding it would show
+        monkeypatch.setattr(bounds, "TAIL_RELATIVE_CUTOFF", 0.5)
+        want, start, closing = reference_tail(*case)
+        got = self._closing_depth_is(case, closing - start + 1)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("case", [CASES[0], CASES[2], CASES[4]], ids=case_id)
+    def test_chunk_layout_does_not_move_the_value(self, case, monkeypatch):
+        _, start, closing = reference_tail(*case)
+        depth = closing - start + 1
+        want = bounds.log_error_envelope(*case)
+        layouts = [(depth, 1 << 16), (depth - 1, 1 << 16), (1, 4), (3, 3)]
+        for first, cap in layouts:  # closure last of one chunk, first of the next, ...
+            monkeypatch.setattr(bounds, "_CHUNK_FIRST", first)
+            monkeypatch.setattr(bounds, "_CHUNK_CAP", cap)
+            assert bounds.log_error_envelope(*case) == want
+            assert self._closing_depth_is(case, depth) == want
 
 
 class TestConvergenceRatio:

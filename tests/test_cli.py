@@ -7,7 +7,7 @@ import pytest
 import blockade.cli
 import blockade.words
 from blockade.cli import main
-from blockade import verify
+from blockade import bounds, verify
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +190,19 @@ class TestBounds:
         assert rc == 0
         rows = csv_rows(out)
         assert rows[0]["log_E"] == "-inf"
+
+    def test_envelope_class_is_passed_through(self, capsys):
+        values = {}
+        for cls in ("density", "word"):
+            rc, out = run_cli(
+                capsys,
+                "bounds", "--table", "envelope", "--L", "18", "--ell", "2", "--cls", cls,
+                "--t-start", "0.5", "--t-stop", "0.5", "--t-steps", "1",
+            )
+            assert rc == 0
+            values[cls] = float(csv_rows(out)[0]["log_E"])
+            assert values[cls] == bounds.log_error_envelope(18, 1, 2, 0.5, cls)
+        assert values["density"] != values["word"]
 
     def test_ratio_table(self, capsys):
         rc, out = run_cli(
