@@ -2,17 +2,21 @@
 
 With a hard blockade of range lam, the drive never leaves the subspace of
 occupation states in which no two excited sites sit within lam lattice
-spacings of each other (cyclically on a ring).  Admissible bitsets are grown
-site by site (a new site is ground, or excited when the lam sites before it
-are ground), so building a basis costs memory in proportion to its
-dimension.  On an open chain with nearest-neighbour blockade the subspace is
-Fibonacci-dimensional and carries a natural recursive ordering: the basis of
-L sites is the basis of L-1 sites with a ground site appended, followed by
-the basis of L-2 sites with a ground-excited pair appended.  Ascending order
-is that recursive order (every state of the second block sets the top bit),
-so one enumerator serves every lattice.  The drive and the total-excitation
-counter then inherit block recursions, which this module implements
-alongside a generic bit-flip construction.
+spacings of each other (cyclically on a ring).  The enumeration and the
+drive see the lattice only through its table of neighbourhood masks
+(`ModelSpec.neighborhood_masks`).  Admissible bitsets are grown site by
+site: the new site n is ground, or excited when its neighbours already
+placed (the bits below n of ``masks[n]``) are ground.  On a ring the
+neighbours across the seam are among those placed when the last sites
+arrive.  Building a basis costs memory in proportion to its dimension.  On
+an open chain with nearest-neighbour blockade the subspace is
+Fibonacci-dimensional and carries a natural recursive ordering: the basis
+of L sites is the basis of L-1 sites with a ground site appended, followed
+by the basis of L-2 sites with a ground-excited pair appended.  Ascending
+order is that recursive order (every state of the second block sets the
+top bit), so one enumerator serves every lattice.  The drive and the
+total-excitation counter then inherit block recursions, which this module
+implements alongside a generic bit-flip construction.
 
 The vacuum is invariant under the lattice symmetries (site reflection on a
 line, reflections and rotations on a ring), and so is every power of the
@@ -22,7 +26,10 @@ unnormalised orbit sums, where both stay exact integer matrices; the
 integer Taylor oracle runs there.
 
 States are stored as occupation bitsets (bit k-1 set means site k excited,
-so the printed string for the integer 5 on four sites is 1010).  All matrices
+so the printed string for the integer 5 on four sites is 1010).  Operator
+words use the packed form of `blockade.words` in the same bit convention:
+``(S, O, I)``, the support and the out- and in-occupations of its letters,
+takes a state ``s`` with ``s & S == I`` to ``s & ~S | O``.  All matrices
 are exact integer sparse matrices; densify only when a consumer needs floats.
 Bases and matrices are immutable after construction and safe to share across
 threads.
@@ -35,8 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .series import ObservableSpec, correlation_base_site
-from .words import LOWER, NUM, PROJ, RAISE, ModelSpec, Word, check_domain, fold_word
+from .series import ObservableSpec, _observable_word
+from .words import ModelSpec, check_domain, fold_word
 
 __all__ = [
     "SparseIntMatrix",
@@ -128,20 +135,16 @@ def _finite_size(model: ModelSpec) -> int:
 
 
 def blockade_dimension(model: ModelSpec) -> int:
-    """Dimension of the blockade subspace, by exact integer recursion.
+    """Dimension of the blockade subspace, by one power of a transfer matrix.
 
-    Open chains satisfy d(L) = d(L-1) + d(L-(lam+1)) (a ground site, or an
-    excited site forcing lam ground sites before it).  Rings are counted by
-    the trace of the transfer matrix over the lam-site sliding window, whose
-    states are 'window empty' or 'single excitation, aged p steps'.
+    Sites are read one at a time through a lam-site sliding window whose
+    states are 'window empty' or 'single excitation, aged p steps'; an
+    excitation may only enter an empty window.  A ring counts the closed
+    walks of L steps (the trace), a line the walks of L steps that start from
+    the empty window (that column's sum).
     """
     L = _finite_size(model)
     lam = model.blockade_range
-    if model.topology == "line":
-        d = {i: 1 for i in range(-lam, 1)}
-        for i in range(1, L + 1):
-            d[i] = d[i - 1] + d[i - lam - 1]
-        return d[L]
     dim_t = lam + 1
     T = [[0] * dim_t for _ in range(dim_t)]
     # state 0: window empty; state p in 1..lam: one excitation seen p-1 steps ago
@@ -165,7 +168,9 @@ def blockade_dimension(model: ModelSpec) -> int:
             P = matmul(P, Q)
         Q = matmul(Q, Q)
         n >>= 1
-    return sum(P[i][i] for i in range(dim_t))
+    if model.topology == "ring":
+        return sum(P[i][i] for i in range(dim_t))
+    return sum(row[0] for row in P)
 
 
 @dataclass
@@ -185,25 +190,22 @@ class BlockadeBasis:
         return "".join("1" if occupation >> k & 1 else "0" for k in range(L))
 
 
-def _admissible_states(L: int, lam: int, cyclic: bool) -> list[int]:
-    """Ascending list of the L-site bitsets whose excited sites lie more than
-    ``lam`` apart (cyclically when ``cyclic``).
+def _admissible_states(masks: tuple[int, ...]) -> list[int]:
+    """Ascending list of the bitsets over ``len(masks)`` sites in which no
+    excited site has an excited neighbour, ``masks[n]`` being the
+    neighbourhood of bit n.
 
     Sites are added one at a time: the states of n+1 sites are those of n
-    sites with the new top site ground, followed by those whose top ``lam``
-    sites are ground with the new site excited.  Both halves keep ascending
-    order and every intermediate list is a smaller open chain, so memory
-    stays proportional to the dimension.  Rings then keep the states whose
-    lowest and highest excited sites, the closest pair across the seam, are
-    more than ``lam`` apart around it."""
+    sites with the new site ground, followed by those with the new site
+    excited whose neighbours already placed are ground.  A state of n sites
+    sets no bit from n up, so ``s & masks[n]`` reads exactly those
+    neighbours.  Every pair of neighbours is checked once, when the later of
+    the two is placed, so on a ring the pairs across the seam are checked as
+    the last sites arrive.  Both halves keep ascending order, so memory
+    stays proportional to the dimension."""
     states = [0]
-    for n in range(L):
-        window = ((1 << lam) - 1) << max(n - lam, 0)
-        states += [s | 1 << n for s in states if not s & window]
-    if cyclic:
-        states = [
-            s for s in states if not s or (s & -s).bit_length() + L - s.bit_length() > lam
-        ]
+    for n, m in enumerate(masks):
+        states += [s | 1 << n for s in states if not s & m]
     return states
 
 
@@ -218,7 +220,7 @@ def build_basis(model: ModelSpec) -> BlockadeBasis:
     L = _finite_size(model)
     if L > _ENUMERATION_LIMIT:
         raise ValueError(f"bitset enumeration capped at {_ENUMERATION_LIMIT} sites (asked {L})")
-    states = tuple(_admissible_states(L, model.blockade_range, cyclic=model.topology == "ring"))
+    states = tuple(_admissible_states(model.neighborhood_masks))
     index = {s: i for i, s in enumerate(states)}
     return BlockadeBasis(model=model, states=states, index=index)
 
@@ -226,14 +228,6 @@ def build_basis(model: ModelSpec) -> BlockadeBasis:
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
-
-
-def _neighborhood_masks(model: ModelSpec) -> list[int]:
-    """Bit mask of the blockade neighbourhood of each site k = 1..L."""
-    return [
-        sum(1 << (j - 1) for j in model.neighborhood(k))
-        for k in range(1, model.size + 1)
-    ]
 
 
 def _check_basis(model: ModelSpec, basis: BlockadeBasis) -> None:
@@ -256,7 +250,7 @@ def hamiltonian_matrix(model: ModelSpec, basis: BlockadeBasis) -> SparseIntMatri
     compares it entry for entry with the block recursion.
     """
     _check_basis(model, basis)
-    masks = _neighborhood_masks(model)
+    masks = model.neighborhood_masks
     index = basis.index
     entries = {
         (i, index[t]): 1
@@ -315,43 +309,19 @@ def total_number_matrix_recursive(L: int) -> SparseIntMatrix:
     return SparseIntMatrix(dims[L], cur)
 
 
-def _apply_word(word: Word, occupation: int) -> int | None:
-    """Image occupation of a basis state under a word, or None if annihilated.
-
-    Letters act site by site: n needs an excitation, m needs ground, the
-    lowering letter clears an excitation, the raising letter creates one."""
-    s = occupation
-    for site, letter in word:
-        bit = 1 << (site - 1)
-        occupied = s & bit
-        if letter is NUM:
-            if not occupied:
-                return None
-        elif letter is PROJ:
-            if occupied:
-                return None
-        elif letter is LOWER:
-            if not occupied:
-                return None
-            s ^= bit
-        elif letter is RAISE:
-            if occupied:
-                return None
-            s |= bit
-    return s
-
-
 def observable_matrix(
     model: ModelSpec, basis: BlockadeBasis, obs: ObservableSpec
 ) -> SparseIntMatrix:
     """Matrix of an observable restricted to the blockade subspace.
 
     The per-site density observable is represented by the *total* counter
-    (consumers divide by L); local and pair counters are diagonal indicators;
-    a general word maps basis states to basis states or annihilates them, and
-    images that leave the subspace are projected to zero rather than flagged.
-    For open nearest-neighbour chains acceptance check C8 compares the total
-    counter with its block recursion.
+    (consumers divide by L).  Every other observable is placed as a word by
+    the same rule as the series and packed by `words.fold_word` into
+    ``(S, O, I)``: it takes a basis state ``s`` with ``s & S == I`` to
+    ``s & ~S | O`` and annihilates the rest, and images that leave the
+    subspace are projected to zero rather than flagged.  For open
+    nearest-neighbour chains acceptance check C8 compares the total counter
+    with its block recursion.
     """
     _check_basis(model, basis)
     dim = basis.dimension
@@ -359,37 +329,17 @@ def observable_matrix(
         return SparseIntMatrix(
             dim, {(i, i): bin(s).count("1") for i, s in enumerate(basis.states)}
         )
-    if obs.kind == "local_number":
-        k = model.canonical_site(obs.site)
-        if not model.contains_site(k):
-            raise ValueError(f"site {k} outside the lattice")
-        bit = 1 << (k - 1)
-        return SparseIntMatrix(
-            dim, {(i, i): 1 for i, s in enumerate(basis.states) if s & bit}
-        )
-    if obs.kind == "correlation":
-        k = correlation_base_site(obs, model)
-        a = model.canonical_site(k)
-        b = model.canonical_site(k + obs.distance)
-        bits = (1 << (a - 1)) | (1 << (b - 1))
-        return SparseIntMatrix(
-            dim,
-            {(i, i): 1 for i, s in enumerate(basis.states) if (s & bits) == bits},
-        )
-    if obs.kind == "word":
-        w = fold_word(obs.word, model)
-        entries: dict = {}
-        if w is not None:
-            for i, s in enumerate(basis.states):
-                img = _apply_word(w, s)
-                if img is None:
-                    continue
-                j = basis.index.get(img)
-                if j is None:
-                    continue  # image outside the subspace: projected away
-                entries[(j, i)] = entries.get((j, i), 0) + 1
-        return SparseIntMatrix(dim, entries)
-    raise ValueError(f"unknown observable kind {obs.kind!r}")
+    packed = fold_word(_observable_word(obs, model), model)
+    entries: dict = {}
+    if packed is not None:
+        S, O, I = packed
+        index = basis.index
+        for i, s in enumerate(basis.states):
+            if s & S == I:
+                j = index.get(s & ~S | O)
+                if j is not None:  # None: image outside the subspace, projected away
+                    entries[(j, i)] = 1
+    return SparseIntMatrix(dim, entries)
 
 
 def parity_matrix(basis: BlockadeBasis) -> SparseIntMatrix:
@@ -451,7 +401,7 @@ def orbit_sector(
                 orbit_of[t] = len(firsts)
             firsts.append(s)
             sizes.append(len(members))
-    masks = _neighborhood_masks(model)
+    masks = model.neighborhood_masks
     drive: dict = {}
     for r, s in enumerate(firsts):
         for t in _flip_neighbours(s, masks):

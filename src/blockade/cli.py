@@ -127,8 +127,7 @@ def cmd_coeffs(args) -> int:
     if args.with_oracle:
         if model.topology == "infinite":
             raise SystemExit("the matrix oracle needs a finite lattice")
-        obs = density() if args.observable == "density" else correlation(args.d)
-        orc = taylor_oracle(model, obs, args.jmax)
+        orc = taylor_oracle(model, sc.observable, args.jmax)
         sym = sc.even_values()
         if sym != orc.coefficients:
             sys.stderr.write(

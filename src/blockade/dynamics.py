@@ -121,28 +121,21 @@ class TaylorOracleResult:
     ad_expectations: dict = field(default_factory=dict)
     coefficients: list = field(default_factory=list)
 
-    def coefficient_values(self) -> list[Fraction]:
-        return list(self.coefficients)
-
-
-@lru_cache(maxsize=8)
-def _basis_and_matrices(model: ModelSpec):
-    basis = build_basis(model)
-    drive = hamiltonian_matrix(model, basis)
-    return basis, drive
-
 
 @lru_cache(maxsize=4)
 def _eigensystem(model: ModelSpec):
-    """Dense symmetric eigendecomposition of the drive, cached per model."""
+    """Basis, integer drive and dense symmetric eigendecomposition of the
+    drive, cached per model; over-budget lattices are refused before the
+    basis is built."""
     dimension = blockade_dimension(model)
     if dimension > DENSE_DIMENSION_BUDGET:
         raise DimensionBudgetError(
             dimension, DENSE_DIMENSION_BUDGET, "dense eigendecomposition"
         )
-    basis, drive = _basis_and_matrices(model)
+    basis = build_basis(model)
+    drive = hamiltonian_matrix(model, basis)
     energies, vectors = np.linalg.eigh(drive.to_dense(float))
-    return basis, energies, vectors
+    return basis, drive, energies, vectors
 
 
 def _expectations(energies, vectors, matrix: SparseIntMatrix, times):
@@ -183,7 +176,7 @@ def evolve(model: ModelSpec, obs: ObservableSpec, times) -> EvolutionResult:
     residue to 1e-10 at every point; both are guaranteed by symmetry, so a
     violation raises instead of being hidden.
     """
-    basis, energies, vectors = _eigensystem(model)
+    basis, _, energies, vectors = _eigensystem(model)
     matrix = observable_matrix(model, basis, obs)
     norm = 1.0 / model.size if obs.kind == "density" else 1.0
     times = [float(t) for t in times]
@@ -303,7 +296,7 @@ class SpectralReport:
 
 def spectral_checks(model: ModelSpec, sample_times=(0.3, 1.1, 2.7)) -> SpectralReport:
     """Collect the parity/spectral witnesses for one lattice."""
-    basis, energies, vectors = _eigensystem(model)
+    basis, drive, energies, vectors = _eigensystem(model)
     dim = basis.dimension
     asym = float(np.max(np.abs(energies + energies[::-1])))
 
@@ -316,7 +309,6 @@ def spectral_checks(model: ModelSpec, sample_times=(0.3, 1.1, 2.7)) -> SpectralR
         float(np.max(np.abs(even_weight[nonzero] - 0.5))) if nonzero.any() else 0.0
     )
 
-    drive = _basis_and_matrices(model)[1]
     anti = all(
         pdiag[r] * v + v * pdiag[c] == 0 for (r, c), v in drive.entries.items()
     )

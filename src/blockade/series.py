@@ -150,29 +150,34 @@ def _validate_correlation(obs: ObservableSpec, model: ModelSpec) -> None:
             f"pair distance {d} lies within the blockade range {model.blockade_range}"
             f"{where}; the pair counter is identically zero"
         )
-    if model.topology == "line":
+
+
+def _observable_word(obs: ObservableSpec, model: ModelSpec) -> Word:
+    """The unfolded word measured by ``obs``: n at one representative site
+    for the per-site density, n_k for a local counter, n_k n_{k+d} for a pair
+    counter (refused on an open chain it does not fit), or the word itself.
+    The series and the basis both place observables through this helper."""
+    if obs.kind == "density":
+        return ((0 if model.topology == "infinite" else 1, NUM),)
+    if obs.kind == "local_number":
+        return ((obs.site, NUM),)
+    if obs.kind == "correlation":
         k = correlation_base_site(obs, model)
-        if k < 1 or k + d > model.size:
+        d = obs.distance
+        if model.topology == "line" and (k < 1 or k + d > model.size):
             raise ValueError(f"pair ({k}, {k + d}) does not fit on {model.size} sites")
+        return make_word({k: NUM, k + d: NUM})
+    if obs.kind == "word":
+        return obs.word
+    raise ValueError(f"unknown observable kind {obs.kind!r}")
 
 
 def observable_operator(obs: ObservableSpec, model: ModelSpec) -> OperatorSum:
     """The word operator measured by ``obs`` (one representative site for the
     per-site density, which is handled by averaging where it matters)."""
-    if obs.kind == "density":
-        site = 0 if model.topology == "infinite" else 1
-        return OperatorSum({((site, NUM),): 1})
-    if obs.kind == "local_number":
-        return OperatorSum({((obs.site, NUM),): 1})
     if obs.kind == "correlation":
         _validate_correlation(obs, model)
-        k = correlation_base_site(obs, model)
-        return canonicalize(
-            OperatorSum({make_word({k: NUM, k + obs.distance: NUM}): 1}), model
-        )
-    if obs.kind == "word":
-        return canonicalize(OperatorSum({obs.word: 1}), model)
-    raise ValueError(f"unknown observable kind {obs.kind!r}")
+    return canonicalize(OperatorSum({_observable_word(obs, model): 1}), model)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,11 @@ and otherwise ``(S_x | S_y, O_x | O_y & ~S_x, I_y | I_x & ~S_y)``; a word is
 made of ground projectors only iff ``O == I == 0``, and its single letters
 (r, rd) are the bits of ``O ^ I``.  The public functions take and return
 words as tuples of ``(site, Letter)`` pairs; each packs its input once, runs
-the packed kernel and unpacks the result once.
+the packed kernel and unpacks the result once.  On a finite lattice
+`fold_word` packs with bit k-1 standing for site k, the convention of the
+occupation bitsets in `blockade.basis`, so the basis shares this form: a
+packed word takes a state ``s`` with ``s & S == I`` to ``s & ~S | O`` and
+annihilates every other state.
 
 The drive Hamiltonian with blockade range ``lam`` is ``H = sum_k H_k`` with
 ``H_k = (r_k + rd_k)`` flanked by ground projectors on every site within
@@ -57,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 __all__ = [
     "Letter",
@@ -239,6 +244,10 @@ class ModelSpec:
     sites are arbitrary integers).  ``blockade_range`` is the number of lattice
     spacings covered by the blockade radius.  The Rabi frequency is fixed to 1
     throughout; rescale times by it to restore units.
+
+    A finite lattice is described to the exact routes by `neighborhood_masks`:
+    one bitmask per site, bit k-1 standing for site k.  The basis, its drive
+    and orbit sums, and the symbolic drive terms all read this one table.
     """
 
     topology: str
@@ -260,10 +269,6 @@ class ModelSpec:
                 raise ValueError(f"ring needs at least 2 sites, got {self.size}")
             if self.topology == "line" and self.size < 1:
                 raise ValueError(f"line needs at least 1 site, got {self.size}")
-
-    @property
-    def L(self) -> int | None:
-        return self.size
 
     def canonical_site(self, k: int) -> int:
         """Map a site index to its canonical representative (residue 1..L on a ring)."""
@@ -288,6 +293,16 @@ class ModelSpec:
         if self.topology == "line":
             return 1 <= k <= self.size
         return True
+
+    @cached_property
+    def neighborhood_masks(self) -> tuple[int, ...]:
+        """Bitmask of the blockade neighbourhood of each site k = 1..L (bit
+        j-1 set for every site j of `neighborhood(k)`), built once per model."""
+        if self.size is None:
+            raise ValueError("infinite chain has no finite neighbourhood table")
+        return tuple(
+            sum(1 << (j - 1) for j in self.neighborhood(k)) for k in range(1, self.size + 1)
+        )
 
 
 def ring(size: int, blockade_range: int = 1) -> ModelSpec:
@@ -431,8 +446,9 @@ def adjoint(op: OperatorSum) -> OperatorSum:
     return op.adjoint()
 
 
-def _fold(x: Word, model: ModelSpec) -> tuple | None:
-    """Packed form of a word on a finite model, bit 0 at site 1.
+def fold_word(x: Word, model: ModelSpec) -> tuple | None:
+    """Packed form of a word on a finite model, bit k-1 standing for site k
+    as in the occupation bitsets of `blockade.basis`.
 
     Ring sites are reduced to residues 1..L and colliding letters are
     multiplied out (``None`` if a collision annihilates the word); a line
@@ -448,21 +464,6 @@ def _fold(x: Word, model: ModelSpec) -> tuple | None:
     return p
 
 
-def fold_word(x: Word, model: ModelSpec) -> Word | None:
-    """Canonicalise a word against a model.
-
-    On a ring, sites are reduced to residues 1..L and colliding letters are
-    multiplied out; the result is ``None`` if a collision annihilates the
-    word.  On a line the word must fit inside 1..L.
-    """
-    if model.topology == "infinite":
-        return x
-    p = _fold(x, model)
-    if p is None:
-        return None
-    return x if model.topology == "line" else _unpack(p, 1)
-
-
 def canonicalize(op: OperatorSum, model: ModelSpec) -> OperatorSum:
     """Fold every term of ``op`` onto the model's canonical sites."""
     terms, base = _pack_operator(op, model)
@@ -476,7 +477,7 @@ def _pack_operator(op: OperatorSum, model: ModelSpec) -> tuple[dict, int]:
         return _pack_terms(op, base), base
     acc: dict = {}
     for w, c in op.terms.items():
-        p = _fold(w, model)
+        p = fold_word(w, model)
         if p is not None:
             acc[p] = acc.get(p, 0) + c
     return {p: c for p, c in acc.items() if c}, 1
@@ -487,25 +488,14 @@ def _pack_operator(op: OperatorSum, model: ModelSpec) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _drive_masks(model: ModelSpec, width: int = 0) -> list[tuple[int, int]]:
-    """``(D, b)`` for the drive term at each bit k: ``b = 1 << k`` marks the
-    flipped site, ``D`` the flip plus its projector neighbourhood.
-
-    Finite models use bit k for site k + 1; the infinite chain is laid out
-    as an open chain of ``width`` bits, whose drive terms are those of the
-    infinite chain wherever the whole neighbourhood fits.
-    """
-    lam = model.blockade_range
-    if model.topology == "ring":
-        out = []
-        for k in range(1, model.size + 1):
-            b = 1 << (k - 1)
-            out.append((sum(1 << (j - 1) for j in model.neighborhood(k)) | b, b))
-        return out
-    size = model.size if model.topology == "line" else width
-    window = (1 << (2 * lam + 1)) - 1
-    full = (1 << size) - 1
-    return [(((window << k) >> lam) & full, 1 << k) for k in range(size)]
+@lru_cache(maxsize=64)
+def _drive_masks(model: ModelSpec) -> tuple[tuple[int, int], ...]:
+    """``(D, b)`` for the drive term at each bit k of a finite model:
+    ``b = 1 << k`` marks the flipped site k + 1, ``D`` the flip plus its
+    neighbourhood mask.  The infinite chain is laid out as ``line(width)``,
+    whose drive terms are those of the infinite chain wherever the whole
+    neighbourhood fits."""
+    return tuple((m | 1 << k, 1 << k) for k, m in enumerate(model.neighborhood_masks))
 
 
 def hamiltonian_terms(model: ModelSpec) -> list[OperatorSum]:
@@ -546,7 +536,7 @@ def _commute(terms: dict, model: ModelSpec) -> dict:
     shift = _frame_shift(model)
     if model.topology == "infinite":
         width = max((S.bit_length() for S, _, _ in terms), default=0) + 2 * shift + 1
-        drive = _drive_masks(model, width)
+        drive = _drive_masks(line(width, lam))
     else:
         drive = _drive_masks(model)
     cyclic = model.topology == "ring"

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockade.basis
 from blockade.basis import (
@@ -21,7 +23,17 @@ from blockade.basis import (
     total_number_matrix_recursive,
 )
 from blockade.series import correlation, density, general_word, local_number
-from blockade.words import NUM, RAISE, infinite_chain, line, make_word, ring
+from blockade.words import (
+    LOWER,
+    NUM,
+    PROJ,
+    RAISE,
+    Letter,
+    infinite_chain,
+    line,
+    make_word,
+    ring,
+)
 
 
 def brute_force_states(L, lam, cyclic):
@@ -68,6 +80,14 @@ class TestDimensions:
             assert blockade_dimension(model) == len(want)
             assert all(b.index[s] == i for i, s in enumerate(b.states))
 
+    def test_open_chain_two_term_recursion(self):
+        # a ground site, or an excited site forcing lam ground sites before it
+        for lam in range(1, 9):
+            d = {i: 1 for i in range(-lam, 1)}
+            for L in range(1, 61):
+                d[L] = d[L - 1] + d[L - lam - 1]
+                assert blockade_dimension(line(L, lam)) == d[L]
+
     def test_closed_form(self):
         golden = (1 + math.sqrt(5)) / 2
         for L in range(1, 31):
@@ -102,7 +122,7 @@ def filtered_states(L, lam, cyclic):
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("lam", [1, 2, 3])
+    @pytest.mark.parametrize("lam", [1, 2, 3, 5])
     @pytest.mark.parametrize("topology", ["ring", "line"])
     def test_states_equal_brute_force_filter(self, topology, lam):
         for L in range(1, 15):
@@ -256,6 +276,57 @@ class TestObservables:
         w = observable_matrix(line(4), b, general_word(make_word({2: NUM})))
         want = {(i, i): 1 for i, s in enumerate(b.states) if s >> 1 & 1}
         assert w.entries == want
+
+
+def apply_word(word, occupation, model):
+    """Letter-by-letter image of a basis state under an unfolded word, or
+    None if annihilated: the rightmost letter acts first, each on the bit of
+    its canonical site, so ring letters that land on one site multiply in
+    word order.  n needs an excitation, m needs ground, the lowering letter
+    clears an excitation, the raising letter creates one."""
+    s = occupation
+    for site, letter in reversed(word):
+        bit = 1 << (model.canonical_site(site) - 1)
+        occupied = s & bit
+        if letter in (NUM, LOWER) and not occupied:
+            return None
+        if letter in (PROJ, RAISE) and occupied:
+            return None
+        if letter in (LOWER, RAISE):
+            s ^= bit
+    return s
+
+
+@st.composite
+def word_cases(draw):
+    """A ring or line of up to 10 sites, blockade range up to 3, and a word of
+    1-4 letters; ring sites run to 2L, so words wrap and letters collide."""
+    topology = draw(st.sampled_from(["ring", "line"]))
+    lam = draw(st.integers(1, 3))
+    L = draw(st.integers(lam + 1 if topology == "ring" else 1, 10))
+    model = ring(L, lam) if topology == "ring" else line(L, lam)
+    span = 2 * L if topology == "ring" else L
+    letters = draw(
+        st.dictionaries(
+            st.integers(1, span), st.sampled_from(list(Letter)), min_size=1, max_size=4
+        )
+    )
+    return model, make_word(letters)
+
+
+class TestPackedWords:
+    @settings(max_examples=300, deadline=None)
+    @given(word_cases())
+    def test_matrix_equals_letter_by_letter_reference(self, case):
+        model, word = case
+        b = build_basis(model)
+        want: dict = {}
+        for i, s in enumerate(b.states):
+            image = apply_word(word, s, model)
+            if image in b.index:
+                key = (b.index[image], i)
+                want[key] = want.get(key, 0) + 1
+        assert observable_matrix(model, b, general_word(word)).entries == want
 
 
 class TestParity:

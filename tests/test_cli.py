@@ -294,5 +294,13 @@ class TestRefusals:
         msg = self.refused(capsys, "coeffs", "--topology", "ring", "--L", "3", "--lambda", "3")
         assert "blockade range 3 covers the whole ring of 3 sites" in msg
 
+    @pytest.mark.parametrize("command", ["coeffs", "simulate"])
+    def test_pair_that_does_not_fit(self, capsys, command):
+        msg = self.refused(
+            capsys, command, "--topology", "line", "--L", "8", "--observable", "correlation",
+            "--d", "9",
+        )
+        assert msg == "blockade: error: pair (1, 10) does not fit on 8 sites"
+
     def test_config_without_path(self, capsys):
         assert self.refused(capsys, "coeffs", "--config") == "blockade: error: --config needs a path"

@@ -43,7 +43,7 @@ from blockade.words import RAISE, Letter, line, make_word, ring
 @pytest.fixture
 def cache_size(monkeypatch):
     """Make any basis, state enumeration or orbit sector fail; return the
-    basis cache size before."""
+    eigensystem cache size before."""
 
     def refuse(*args):
         raise AssertionError(f"built {args} before refusing")
@@ -52,7 +52,7 @@ def cache_size(monkeypatch):
     monkeypatch.setattr(dynamics, "orbit_sector", refuse)
     monkeypatch.setattr(basis, "build_basis", refuse)
     monkeypatch.setattr(basis, "_admissible_states", refuse)
-    return dynamics._basis_and_matrices.cache_info().currsize
+    return dynamics._eigensystem.cache_info().currsize
 
 
 def full_space_ad_expectations(model, obs, jmax):
@@ -160,7 +160,7 @@ class TestEvolve:
         with pytest.raises(DimensionBudgetError) as err:
             evolve(line(21), density(), [0.1])
         assert err.value.dimension == 28657
-        assert dynamics._basis_and_matrices.cache_info().currsize == cache_size
+        assert dynamics._eigensystem.cache_info().currsize == cache_size
 
     def test_ring_domain_message_is_shared(self):
         # refusals consult the closed-form dimension before building anything,
@@ -183,6 +183,18 @@ class TestEvolve:
             "blockade range 3 covers the whole ring of 3 sites; "
             "only the all-ground and single-excitation states survive"
         }
+
+    def test_pair_that_does_not_fit_is_refused(self):
+        # every route places a pair counter through one rule, so a pair
+        # reaching past the chain's end is refused rather than read as zero
+        for route in (
+            lambda obs: evolve(line(8), obs, [0.5, 1.0]),
+            lambda obs: taylor_oracle(line(8), obs, 2),
+        ):
+            with pytest.raises(ValueError, match=r"^pair \(8, 10\) does not fit on 8 sites$"):
+                route(correlation(2, site=8))
+        # a blockaded pair that fits still evolves as the zero it is
+        assert evolve(line(8), correlation(1, site=3), [0.5, 1.0]).values == [0.0, 0.0]
 
     def test_late_time_settles_to_small_fluctuations(self):
         early = evolve(ring(14), density(), np.linspace(0.0, 6.0, 121)).values
@@ -268,7 +280,7 @@ class TestTaylorOracle:
         with pytest.raises(DimensionBudgetError) as err:
             taylor_oracle(ring(23), density(), 22)
         assert err.value.dimension == 44 * 64_079
-        assert dynamics._basis_and_matrices.cache_info().currsize == cache_size
+        assert dynamics._eigensystem.cache_info().currsize == cache_size
 
 
 def correlation_coefficients_even(model, d, jmax):
