@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .series import ObservableSpec, _observable_word
-from .words import ModelSpec, check_domain, fold_word
+from .words import ModelSpec, fold_word
 
 __all__ = [
     "SparseIntMatrix",
@@ -123,14 +123,10 @@ def dumps_matrix(matrix: SparseIntMatrix) -> str:
 
 
 def _finite_size(model: ModelSpec) -> int:
-    """Number of sites of a lattice that has a blockade basis.
-
-    The infinite chain has none, and rings whose blockade range covers the
-    whole ring are rejected rather than silently reduced.
-    """
+    """Number of sites of a lattice that has a blockade basis (the infinite
+    chain has none; `ModelSpec` has already refused a covered ring)."""
     if model.topology == "infinite":
         raise ValueError("infinite chain has no finite basis")
-    check_domain(model)
     return model.size
 
 
@@ -214,8 +210,8 @@ def build_basis(model: ModelSpec) -> BlockadeBasis:
 
     Admissible bitsets are enumerated in ascending order, which puts the
     all-ground state first and, on open nearest-neighbour chains, is the
-    recursive ordering.  The lattice domain is checked by `_finite_size`, and
-    lattices past the enumeration cap are refused before anything is built.
+    recursive ordering.  The infinite chain and lattices past the
+    enumeration cap are refused before anything is built.
     """
     L = _finite_size(model)
     if L > _ENUMERATION_LIMIT:

@@ -30,27 +30,16 @@ from .series import (
     records_to_csv,
     universality_threshold,
 )
-from .words import (
-    DEFAULT_ORDER_BUDGET,
-    AdOrderBudgetError,
-    ModelSpec,
-    infinite_chain,
-    line,
-    ring,
-)
+from .words import AdOrderBudgetError, ModelSpec, ring
 
 __all__ = ["main"]
 
 
 def _model_from(args) -> ModelSpec:
-    topo = args.topology
-    if topo == "infinite":
-        return infinite_chain(args.lambda_b)
-    if args.L is None:
-        raise SystemExit(f"--L is required for topology {topo!r}")
-    if topo == "ring":
-        return ring(args.L, args.lambda_b)
-    return line(args.L, args.lambda_b)
+    """The lattice named by the flags; `ModelSpec` refuses what it cannot be."""
+    if args.L is None and args.topology in ("ring", "line"):
+        raise ValueError(f"--L is required for topology {args.topology!r}")
+    return ModelSpec(args.topology, args.L, args.lambda_b)
 
 
 def _config_echo(args, skip=("func", "config", "output")) -> list[str]:
@@ -121,12 +110,10 @@ def cmd_coeffs(args) -> int:
         sc = density_coefficients(model, args.jmax)
     else:
         if args.d is None:
-            raise SystemExit("--d is required for the pair-counter observable")
+            raise ValueError("--d is required for the pair-counter observable")
         sc = correlation_coefficients(model, args.d, args.jmax)
     records = coefficient_records(sc)
     if args.with_oracle:
-        if model.topology == "infinite":
-            raise SystemExit("the matrix oracle needs a finite lattice")
         orc = taylor_oracle(model, sc.observable, args.jmax)
         sym = sc.even_values()
         if sym != orc.coefficients:
@@ -139,7 +126,7 @@ def cmd_coeffs(args) -> int:
             r["oracle_checked"] = r["order"] % 2 == 0 and r["order"] > 0
     if args.emit_q:
         if model.topology != "line":
-            raise SystemExit("boundary deficits are an open-chain quantity")
+            raise ValueError("boundary deficits are an open-chain quantity")
         qs = boundary_deficits(args.jmax, L_probe=max(args.L, 12), blockade_range=args.lambda_b)
         for j, q in enumerate(qs, 1):
             records.append(
@@ -159,12 +146,12 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    times = _time_grid(args)
     if args.window_vs is not None:
         model_a = _model_from(args)
         args_b = argparse.Namespace(**vars(args))
         args_b.L = args.window_vs
         model_b = _model_from(args_b)
-        times = _time_grid(args)
         t_star = universal_window(model_a, model_b, times, args.epsilon)
         lines = [
             "quantity,value",
@@ -173,38 +160,33 @@ def cmd_simulate(args) -> int:
         _write(args, lines, _config_echo(args))
         return 0
 
-    times = _time_grid(args)
-    columns: list[tuple[str, list[float]]] = []
+    models = []
     for topo in args.topology.split(","):
         sub = argparse.Namespace(**vars(args))
         sub.topology = topo.strip()
-        model = _model_from(sub)
+        models.append((sub.topology, _model_from(sub)))
+    if args.overlay_universal:  # refused, if at all, before any evolution
+        lam, jmax = args.lambda_b, args.jmax
+        if jmax is None:
+            jmax = universality_threshold(ring(args.L, lam), density())
+        if jmax < 1:
+            raise ValueError("--jmax must be at least 1")
+        # the smallest ring certified size-free through t^(2 jmax) carries
+        # the infinite chain's coefficients (`universality_threshold`)
+        overlay = taylor_oracle(ring(lam * jmax + 1, lam), density(), jmax).coefficients
+
+    columns: list[tuple[str, list[float]]] = []
+    for topo, model in models:
         if args.observable == "density":
             res = evolve(model, density(), times)
         elif args.observable == "correlation":
             res = evolve(model, correlation(args.d), times)
-        elif args.observable == "g2":
+        else:  # g2
             res = g2(model, args.d, [t for t in times if t > 0])
             times = res.times
-        else:
-            raise SystemExit(f"unknown observable {args.observable!r}")
-        columns.append((f"{args.observable}_{topo.strip()}", res.values))
-
+        columns.append((f"{args.observable}_{topo}", res.values))
     if args.overlay_universal:
-        jmax = args.jmax
-        if jmax is None:
-            ref = ring(args.L, args.lambda_b)
-            jmax = universality_threshold(ref, density())
-        if jmax > DEFAULT_ORDER_BUDGET // 2:  # past the symbolic budget the oracle carries on
-            # a ring of lambda*jmax + 1 sites is size-free through order jmax
-            orc = taylor_oracle(
-                ring(args.lambda_b * jmax + 1, args.lambda_b), density(), jmax
-            )
-            vals = orc.coefficients
-        else:
-            sc = density_coefficients(infinite_chain(args.lambda_b), jmax)
-            vals = sc.even_values()
-        columns.append((f"universal_{jmax}", [eval_even_series(vals, t) for t in times]))
+        columns.append((f"universal_{jmax}", [eval_even_series(overlay, t) for t in times]))
 
     if args.format == "json":
         payload = {
@@ -225,7 +207,7 @@ def cmd_simulate(args) -> int:
 def _time_grid(args) -> list[float]:
     n = args.t_steps
     if n < 1:
-        raise SystemExit("--t-steps must be at least 1")
+        raise ValueError("--t-steps must be at least 1")
     start, stop = args.t_start, args.t_stop
     if n == 1:
         return [start]
@@ -246,6 +228,8 @@ def cmd_bounds(args) -> int:
                 f"{j},{bounds.coefficient_bound(j, args.lambda_b, args.ell, args.cls)!r}"
             )
     elif args.table == "envelope":
+        if args.L is None:
+            raise ValueError("--L is required for the envelope table")
         # E overflows floats long before the (finite) bound stops making
         # sense, so the log column always carries the full information
         lines = ["t,E,log_E"]
@@ -253,14 +237,12 @@ def cmd_bounds(args) -> int:
             log_e = bounds.log_error_envelope(args.L, args.lambda_b, args.ell, t, args.cls)
             e = repr(math.exp(log_e)) if log_e < 700 else "over-range"
             lines.append(f"{t!r},{e},{log_e!r}")
-    elif args.table == "ratio":
+    else:  # ratio
         lines = ["L,ratio_bound"]
         for L in range(args.Lmin, args.Lmax + 1):
             lines.append(
                 f"{L},{bounds.convergence_ratio(L, args.lambda_b, args.ell, args.t)!r}"
             )
-    else:
-        raise SystemExit(f"unknown bounds table {args.table!r}")
     _write(args, lines, _config_echo(args))
     return 0
 
@@ -310,16 +292,18 @@ def _run(argv: list[str]) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--topology", default="ring", help="ring, line or infinite (comma list for simulate)")
+    # each subcommand takes only the flags it reads, so argparse rejects the rest
+    def add_common(p, lattice_output=True):
+        if lattice_output:
+            p.add_argument("--topology", default="ring", help="ring, line or infinite (comma list for simulate)")
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--L", type=int, default=None, help="number of sites")
         p.add_argument("--lambda", dest="lambda_b", type=int, default=1, help="blockade range in lattice spacings")
         p.add_argument("--output", default=None, help="output path (stdout if omitted)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--decimal", action="store_true", help="print decimal values instead of exact fractions")
 
     p = sub.add_parser("coeffs", help="exact Taylor coefficient tables")
     add_common(p)
+    p.add_argument("--decimal", action="store_true", help="print decimal values instead of exact fractions")
     p.add_argument("--observable", choices=("density", "correlation"), default="density")
     p.add_argument("--d", type=int, default=None, help="pair-counter distance")
     p.add_argument("--jmax", type=int, default=5)
@@ -341,7 +325,7 @@ def _run(argv: list[str]) -> int:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bounds", help="bound tables and certified envelopes")
-    add_common(p)
+    add_common(p, lattice_output=False)
     p.add_argument("--table", choices=("kappa", "bj", "envelope", "ratio"), default="kappa")
     p.add_argument("--amax", type=int, default=100)
     p.add_argument("--jmax", type=int, default=20)

@@ -51,13 +51,14 @@ from .basis import (
 )
 from .series import (
     ObservableSpec,
+    _observable_word,
     correlation,
     correlation_base_site,
     density,
     local_number,
     pair_blockaded,
 )
-from .words import ModelSpec
+from .words import ModelSpec, fold_word
 
 __all__ = [
     "DimensionBudgetError",
@@ -174,8 +175,10 @@ def evolve(model: ModelSpec, obs: ObservableSpec, times) -> EvolutionResult:
     ``_BLOCK_POINTS`` points, and t = 0 is the exact vacuum element.  The
     evolved state's norm is checked to 1e-12 and the expectation's imaginary
     residue to 1e-10 at every point; both are guaranteed by symmetry, so a
-    violation raises instead of being hidden.
+    violation raises instead of being hidden.  An observable that does not
+    fit the lattice is refused by its placement, before the eigensystem.
     """
+    fold_word(_observable_word(obs, model), model)
     basis, _, energies, vectors = _eigensystem(model)
     matrix = observable_matrix(model, basis, obs)
     norm = 1.0 / model.size if obs.kind == "density" else 1.0
@@ -206,13 +209,14 @@ def taylor_oracle(model: ModelSpec, obs: ObservableSpec, jmax: int) -> TaylorOra
     `basis.orbit_sector`, then assembles every nested-commutator expectation
     through the binomial expansion and divides by the factorial at the very
     end.  Odd orders vanish by parity and are reported exactly as zero.  The
-    work budget counts the full blockade dimension and is checked before
-    anything is built.
+    work budget counts the full blockade dimension and, with the placement
+    of the observable, is checked before anything is built.
     """
     max_ad = 2 * jmax
     work = max_ad * blockade_dimension(model)
     if work > ORACLE_WORK_BUDGET:
         raise DimensionBudgetError(work, ORACLE_WORK_BUDGET, "integer Taylor oracle")
+    fold_word(_observable_word(obs, model), model)
     drive, matrix = orbit_sector(model, obs)
     vs = [[1] + [0] * (drive.dimension - 1)]  # the vacuum is orbit 0
     for _ in range(max_ad):

@@ -43,7 +43,6 @@ from .words import (
     OperatorSum,
     Word,
     canonicalize,
-    check_domain,
     class_commutator_expectation,
     commutator_classes,
     infinite_chain,
@@ -223,9 +222,7 @@ def _phase_sign(order: int) -> int:
     return -1 if (order // 2) % 2 else 1
 
 
-def _expectation_series(
-    A: OperatorSum, model: ModelSpec, max_order: int, order_budget: int
-) -> list[Fraction]:
+def _expectation_series(A: OperatorSum, model: ModelSpec, max_order: int) -> list[Fraction]:
     """Stored coefficients of <A(t)> through t^max_order for one seed operator.
 
     Iterates the nested commutator once per order, but takes each order's
@@ -235,8 +232,6 @@ def _expectation_series(
     class (`commutator_classes`), which yields the same per-site values: the
     vacuum and the drive are translation invariant.
     """
-    if max_order - 1 > order_budget:
-        raise AdOrderBudgetError(max_order - 1, order_budget, 0)
     vals = [Fraction(vacuum_expectation(A))]
     cur = translation_classes(A, model)
     for order in range(1, max_order + 1):
@@ -263,7 +258,7 @@ def _support_margin(max_order: int, lam: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _open_site_series(lam: int, ends: tuple, max_order: int, order_budget: int) -> tuple:
+def _open_site_series(lam: int, ends: tuple, max_order: int) -> tuple:
     """Stored density series of an open-chain site whose end distances are
     ``ends`` (ascending, clipped at the support margin).
 
@@ -277,14 +272,14 @@ def _open_site_series(lam: int, ends: tuple, max_order: int, order_budget: int) 
     else:
         model, site = line(near + far + 1, lam), near + 1
     seed = observable_operator(local_number(site), model)
-    return tuple(_expectation_series(seed, model, max_order, order_budget))
+    return tuple(_expectation_series(seed, model, max_order))
 
 
-def _open_chain_density(model: ModelSpec, max_order: int, order_budget: int) -> list:
+def _open_chain_density(model: ModelSpec, max_order: int) -> list:
     L, lam = model.size, model.blockade_range
     margin = _support_margin(max_order, lam)
     ends = (tuple(sorted(min(d, margin) for d in (k - 1, L - k))) for k in range(1, L + 1))
-    sites = [_open_site_series(lam, e, max_order, order_budget) for e in ends]
+    sites = [_open_site_series(lam, e, max_order) for e in ends]
     return [sum(vals) / L for vals in zip(*sites)]
 
 
@@ -293,18 +288,19 @@ def _open_chain_density(model: ModelSpec, max_order: int, order_budget: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def _coefficients(
-    model: ModelSpec, obs: ObservableSpec, max_order: int, order_budget: int
-) -> SeriesCoefficients:
-    """The steps every coefficient entry point shares: check the lattice,
-    expand the observable's seed operator order by order (the open-chain
-    density site by site) and attach the universality metadata."""
-    check_domain(model)
+def _coefficients(model: ModelSpec, obs: ObservableSpec, max_order: int) -> SeriesCoefficients:
+    """The steps every coefficient entry point shares: refuse an order past
+    the symbolic budget before any operator is built (the top order needs
+    only ``max_order - 1`` commutators, see `_expectation_series`), expand
+    the observable's seed operator order by order (the open-chain density
+    site by site) and attach the universality metadata."""
+    if max_order - 1 > DEFAULT_ORDER_BUDGET:
+        raise AdOrderBudgetError(max_order - 1, DEFAULT_ORDER_BUDGET)
     if obs.kind == "density" and model.topology == "line":
-        vals = _open_chain_density(model, max_order, order_budget)
+        vals = _open_chain_density(model, max_order)
     else:
         seed = observable_operator(obs, model)
-        vals = _expectation_series(seed, model, max_order, order_budget)
+        vals = _expectation_series(seed, model, max_order)
     return SeriesCoefficients(
         observable=obs,
         model=model,
@@ -314,37 +310,31 @@ def _coefficients(
     )
 
 
-def density_coefficients(
-    model: ModelSpec, jmax: int, order_budget: int = DEFAULT_ORDER_BUDGET
-) -> SeriesCoefficients:
+def density_coefficients(model: ModelSpec, jmax: int) -> SeriesCoefficients:
     """Exact density coefficients through t^(2*jmax).
 
     Rings and the infinite chain are translation invariant, so a single site
     carries the answer.  An open chain averages over all sites, each taken
     from the site memo keyed by its distances to the chain ends.
     """
-    return _coefficients(model, density(), 2 * jmax, order_budget)
+    return _coefficients(model, density(), 2 * jmax)
 
 
-def correlation_coefficients(
-    model: ModelSpec, distance: int, jmax: int, order_budget: int = DEFAULT_ORDER_BUDGET
-) -> SeriesCoefficients:
+def correlation_coefficients(model: ModelSpec, distance: int, jmax: int) -> SeriesCoefficients:
     """Exact pair-counter coefficients <n_k(t) n_{k+d}(t)> through t^(2*jmax).
 
     Distances inside the blockade range are rejected: the pair counter is
     identically zero there."""
-    return _coefficients(model, correlation(distance), 2 * jmax, order_budget)
+    return _coefficients(model, correlation(distance), 2 * jmax)
 
 
-def word_coefficients(
-    model: ModelSpec, A: Word, jmax: int, order_budget: int = DEFAULT_ORDER_BUDGET
-) -> SeriesCoefficients:
+def word_coefficients(model: ModelSpec, A: Word, jmax: int) -> SeriesCoefficients:
     """Exact coefficients of <A(t)> through t^jmax for an arbitrary word.
 
     Only orders with the parity of the word's single-letter count survive;
     the rest are exact zeros.  When that count is odd the odd orders carry a
     leftover factor of i on top of the stored rational."""
-    return _coefficients(model, general_word(A), jmax, order_budget)
+    return _coefficients(model, general_word(A), jmax)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +395,7 @@ def _deficit(c_finite: Fraction, c_universal: Fraction, L: int) -> Fraction | No
     return L * (1 - c_finite / c_universal)
 
 
-def boundary_deficits(
-    jmax: int,
-    L_probe: int = 12,
-    blockade_range: int = 1,
-    order_budget: int = DEFAULT_ORDER_BUDGET,
-) -> list[Fraction | None]:
+def boundary_deficits(jmax: int, L_probe: int = 12, blockade_range: int = 1) -> list[Fraction | None]:
     """Size-scaled boundary deficits of the open-chain density coefficients.
 
     On an open chain the j-th density coefficient takes the form
@@ -422,12 +407,10 @@ def boundary_deficits(
     an order with vanishing universal coefficient has no well-defined deficit
     and reports ``None``.
     """
-    uni = density_coefficients(infinite_chain(blockade_range), jmax, order_budget)
+    uni = density_coefficients(infinite_chain(blockade_range), jmax)
     out: list[Fraction | None] = []
     probes = (L_probe, L_probe + 2)
-    per_probe = [
-        density_coefficients(line(L, blockade_range), jmax, order_budget) for L in probes
-    ]
+    per_probe = [density_coefficients(line(L, blockade_range), jmax) for L in probes]
     for j in range(1, jmax + 1):
         c_uni = uni.coefficient(2 * j)
         qs = [

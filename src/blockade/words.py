@@ -38,9 +38,11 @@ annihilates every other state.
 The drive Hamiltonian with blockade range ``lam`` is ``H = sum_k H_k`` with
 ``H_k = (r_k + rd_k)`` flanked by ground projectors on every site within
 distance ``lam`` of ``k`` (neighbours wrap around on a ring and are truncated
-at the ends of an open chain).  Nested commutators ``ad^j(A) = [H, [H, ...]]``
-are evaluated exactly with integer/rational coefficients, which is what makes
-the short-time Taylor data downstream exact.
+at the ends of an open chain).  A ring must be longer than ``lam``:
+`ModelSpec` refuses one that the blockade covers, so no function here meets
+such a ring.  Nested commutators ``ad^j(A) = [H, [H, ...]]`` are evaluated
+exactly with integer/rational coefficients, which is what makes the
+short-time Taylor data downstream exact.
 
 On rings and the infinite chain H commutes with translations T, so
 ``[H, sum_k T^k w] = sum_k T^k [H, w]``.  `translation_classes` and
@@ -79,7 +81,6 @@ __all__ = [
     "ring",
     "line",
     "infinite_chain",
-    "check_domain",
     "OperatorSum",
     "zero_operator",
     "identity_operator",
@@ -245,6 +246,12 @@ class ModelSpec:
     spacings covered by the blockade radius.  The Rabi frequency is fixed to 1
     throughout; rescale times by it to restore units.
 
+    The domain is checked here and nowhere else: a ring whose blockade range
+    covers it (``blockade_range >= size``) keeps only the all-ground and
+    single-excitation states and is refused at construction rather than
+    silently reduced, so every route built on a model, symbolic or matrix,
+    sees only lattices it can treat.
+
     A finite lattice is described to the exact routes by `neighborhood_masks`:
     one bitmask per site, bit k-1 standing for site k.  The basis, its drive
     and orbit sums, and the symbolic drive terms all read this one table.
@@ -267,6 +274,12 @@ class ModelSpec:
                 raise ValueError("finite lattice needs an integer size")
             if self.topology == "ring" and self.size < 2:
                 raise ValueError(f"ring needs at least 2 sites, got {self.size}")
+            if self.topology == "ring" and self.blockade_range >= self.size:
+                raise ValueError(
+                    f"blockade range {self.blockade_range} covers the whole ring of "
+                    f"{self.size} sites; only the all-ground and single-excitation "
+                    "states survive"
+                )
             if self.topology == "line" and self.size < 1:
                 raise ValueError(f"line needs at least 1 site, got {self.size}")
 
@@ -318,22 +331,6 @@ def line(size: int, blockade_range: int = 1) -> ModelSpec:
 def infinite_chain(blockade_range: int = 1) -> ModelSpec:
     """Open-ended chain; every site sees the full neighbourhood."""
     return ModelSpec("infinite", None, blockade_range)
-
-
-def check_domain(model: ModelSpec) -> None:
-    """Reject a ring whose blockade range covers the whole ring.
-
-    Such a ring keeps only the all-ground and single-excitation states; the
-    series, the basis and every route built on them refuse it with the same
-    message rather than silently reduce it.  The drive terms themselves
-    (`hamiltonian_terms`, `commutator_H`) stay defined there.
-    """
-    if model.topology == "ring" and model.blockade_range >= model.size:
-        raise ValueError(
-            f"blockade range {model.blockade_range} covers the whole ring of "
-            f"{model.size} sites; only the all-ground and single-excitation "
-            "states survive"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +451,8 @@ def fold_word(x: Word, model: ModelSpec) -> tuple | None:
     multiplied out (``None`` if a collision annihilates the word); a line
     word must fit inside 1..L.
     """
+    if model.size is None:
+        raise ValueError("infinite chain has no finite basis")
     p = (0, 0, 0)
     for s, a in x:
         if not model.contains_site(s):
@@ -693,47 +692,31 @@ DEFAULT_ORDER_BUDGET = 12
 
 
 class AdOrderBudgetError(RuntimeError):
-    """Raised when a nested-commutator request exceeds the symbolic budget.
+    """Raised, before any operator is built, when a nested-commutator request
+    exceeds the symbolic budget `DEFAULT_ORDER_BUDGET`."""
 
-    ``order_reached`` reports how many commutators were actually applied
-    before the computation was refused or abandoned.
-    """
-
-    def __init__(self, requested: int, budget: int, order_reached: int):
+    def __init__(self, requested: int, budget: int):
         self.requested = requested
         self.budget = budget
-        self.order_reached = order_reached
-        super().__init__(
-            f"nested commutator order {requested} exceeds budget {budget} "
-            f"(stopped after {order_reached})"
-        )
+        super().__init__(f"nested commutator order {requested} exceeds budget {budget}")
 
 
-def ad_power(
-    operator: OperatorSum,
-    model: ModelSpec,
-    order: int,
-    order_budget: int = DEFAULT_ORDER_BUDGET,
-    max_terms: int | None = None,
-) -> OperatorSum:
+def ad_power(operator: OperatorSum, model: ModelSpec, order: int) -> OperatorSum:
     """j-fold nested commutator of the drive Hamiltonian with ``operator``.
 
     Order 0 returns the (canonicalised) operator itself.  Word counts grow
-    superexponentially with the order, so requests beyond ``order_budget``
-    are refused up front and an optional ``max_terms`` guard aborts a run
-    that blows up mid-way; both report the order actually reached.  Larger
-    orders belong to the integer matrix route in `blockade.dynamics`.
+    superexponentially with the order, so requests beyond
+    `DEFAULT_ORDER_BUDGET` are refused up front.  Larger orders belong to the
+    integer matrix route in `blockade.dynamics`.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if order > order_budget:
-        raise AdOrderBudgetError(order, order_budget, 0)
+    if order > DEFAULT_ORDER_BUDGET:
+        raise AdOrderBudgetError(order, DEFAULT_ORDER_BUDGET)
     terms, base = _pack_operator(operator, model)
-    for g in range(order):
+    for _ in range(order):
         terms = _commute(terms, model)
         base -= _frame_shift(model)
-        if max_terms is not None and len(terms) > max_terms:
-            raise AdOrderBudgetError(order, order_budget, g + 1)
     return _unpack_terms(terms, base)
 
 

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-import blockade.cli
 import blockade.words
 from blockade.cli import main
 from blockade import bounds, verify
@@ -117,9 +116,9 @@ class TestSimulate:
         assert rc == 0
         assert "universal_5" in out  # threshold of a 6-site ring
 
-    # the universal overlay of an 8-site ring on t = 0, 0.5, ..., 2; jmax 6 is
-    # the last order within the symbolic budget (DEFAULT_ORDER_BUDGET // 2),
-    # jmax 7 the first the integer oracle computes
+    # the universal overlay of an 8-site ring on t = 0, 0.5, ..., 2, taken
+    # from the oracle on ring(jmax + 1): the bytes of the symbolic
+    # infinite-chain series, which reaches jmax 6 within its budget
     OVERLAY = {
         6: ["0.0", "0.19585152520073784", "0.38725198412698414",
             "-2.1086108616420205", "-102.67682539682542"],
@@ -128,15 +127,13 @@ class TestSimulate:
     }
 
     @pytest.mark.parametrize("jmax", [6, 7])
-    def test_overlay_bytes_across_route_switch(self, capsys, monkeypatch, jmax):
-        argv = (
+    def test_overlay_bytes_across_route_switch(self, capsys, jmax):
+        _, out = run_cli(
+            capsys,
             "simulate", "--topology", "ring", "--L", "8",
             "--t-steps", "5", "--overlay-universal", "--jmax", str(jmax),
         )
-        _, out = run_cli(capsys, *argv)
         assert [r[f"universal_{jmax}"] for r in csv_rows(out)] == self.OVERLAY[jmax]
-        monkeypatch.setattr(blockade.cli, "DEFAULT_ORDER_BUDGET", 0)  # oracle throughout
-        assert run_cli(capsys, *argv)[1] == out
 
     def test_window_report(self, capsys):
         rc, out = run_cli(
@@ -301,6 +298,60 @@ class TestRefusals:
             "--d", "9",
         )
         assert msg == "blockade: error: pair (1, 10) does not fit on 8 sites"
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (("simulate", "--topology", "torus", "--L", "6"), "unknown topology 'torus'"),
+            (("simulate", "--topology", "ring"), "--L is required for topology 'ring'"),
+            (
+                ("coeffs", "--topology", "ring", "--L", "6", "--observable", "correlation"),
+                "--d is required for the pair-counter observable",
+            ),
+            (
+                ("coeffs", "--topology", "ring", "--L", "6", "--emit-q"),
+                "boundary deficits are an open-chain quantity",
+            ),
+            (("simulate", "--L", "6", "--t-steps", "0"), "--t-steps must be at least 1"),
+            (
+                ("simulate", "--L", "6", "--t-steps", "3", "--overlay-universal", "--jmax", "0"),
+                "--jmax must be at least 1",
+            ),
+            (
+                ("coeffs", "--topology", "infinite", "--jmax", "2", "--with-oracle"),
+                "infinite chain has no finite basis",
+            ),
+            (
+                ("simulate", "--topology", "infinite", "--t-steps", "2"),
+                "infinite chain has no finite basis",
+            ),
+            (("bounds", "--table", "envelope"), "--L is required for the envelope table"),
+        ],
+        ids=[
+            "topology", "L", "d", "emit-q", "t-steps", "overlay-jmax", "oracle-infinite",
+            "evolve-infinite", "envelope-L",
+        ],
+    )
+    def test_flag_refusals(self, capsys, argv, want):
+        assert self.refused(capsys, *argv) == f"blockade: error: {want}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--table", "kappa", "--format", "json"),
+            ("bounds", "--table", "kappa", "--decimal"),
+            ("bounds", "--table", "kappa", "--topology", "line"),
+            ("simulate", "--L", "6", "--decimal"),
+        ],
+        ids=["bounds-format", "bounds-decimal", "bounds-topology", "simulate-decimal"],
+    )
+    def test_unread_flags_rejected(self, capsys, argv):
+        # argparse refuses a flag the subcommand does not read
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
 
     def test_config_without_path(self, capsys):
         assert self.refused(capsys, "coeffs", "--config") == "blockade: error: --config needs a path"

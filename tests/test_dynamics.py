@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from blockade import basis, bounds, dynamics
 from blockade.basis import (
-    blockade_dimension,
     build_basis,
     hamiltonian_matrix,
     observable_matrix,
@@ -163,26 +162,32 @@ class TestEvolve:
         assert dynamics._eigensystem.cache_info().currsize == cache_size
 
     def test_ring_domain_message_is_shared(self):
-        # refusals consult the closed-form dimension before building anything,
-        # so every route must reject an over-covered ring in the same words
-        routes = (
-            blockade_dimension,
-            build_basis,
-            lambda m: evolve(m, density(), [0.5]),
-            lambda m: taylor_oracle(m, density(), 1),
-            lambda m: density_coefficients(m, 1),
-            lambda m: correlation_coefficients(m, 4, 1),
-            lambda m: word_coefficients(m, make_word({1: RAISE}), 1),
-        )
-        messages = set()
-        for route in routes:
-            with pytest.raises(ValueError) as err:
-                route(ring(3, 3))
-            messages.add(str(err.value))
-        assert messages == {
+        # the domain is checked once, when the model is built, so no route
+        # (dimension, basis, evolution, oracle, series) ever sees such a ring
+        with pytest.raises(ValueError) as err:
+            ring(3, 3)
+        assert str(err.value) == (
             "blockade range 3 covers the whole ring of 3 sites; "
             "only the all-ground and single-excitation states survive"
-        }
+        )
+
+    @pytest.mark.parametrize(
+        "obs, message",
+        [
+            (correlation(2, site=16), r"^pair \(16, 18\) does not fit on 16 sites$"),
+            (local_number(17), r"^site 17 outside line of 16 sites$"),
+        ],
+        ids=["pair", "site"],
+    )
+    def test_observable_refused_before_building(self, cache_size, obs, message):
+        # the observable is placed before the eigensystem or orbit sector
+        for route in (
+            lambda: evolve(line(16), obs, [0.5]),
+            lambda: taylor_oracle(line(16), obs, 2),
+        ):
+            with pytest.raises(ValueError, match=message):
+                route()
+        assert dynamics._eigensystem.cache_info().currsize == cache_size
 
     def test_pair_that_does_not_fit_is_refused(self):
         # every route places a pair counter through one rule, so a pair

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import blockade.series
 from blockade import bounds
 from blockade.dynamics import taylor_oracle
 from blockade.series import (
@@ -60,10 +61,11 @@ class TestDensity:
         sc = density_coefficients(ring(2), 2)
         assert sc.even_values() == [F(1), F("-2/3")]
 
-    def test_symbolic_confirms_oracle_through_t16(self):
+    def test_symbolic_confirms_oracle_through_t16(self, monkeypatch):
         # ring 18 is universal through j = 17, so its exact coefficients are
         # the infinite chain's; the symbolic route confirms the first eight
-        sc = density_coefficients(infinite_chain(1), 8, order_budget=16)
+        monkeypatch.setattr(blockade.series, "DEFAULT_ORDER_BUDGET", 16)
+        sc = density_coefficients(infinite_chain(1), 8)
         orc = taylor_oracle(ring(18), density(), 17)
         assert sc.even_values() == orc.coefficients[:8]
 
