@@ -35,8 +35,6 @@ from .words import (
     line,
     infinite_chain,
     OperatorSum,
-    zero_operator,
-    identity_operator,
     single_site,
     number_operator,
     adjoint,

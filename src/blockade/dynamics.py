@@ -104,7 +104,6 @@ class EvolutionResult:
     observable: ObservableSpec
     times: list[float]
     values: list[float]
-    method: str = "eigendecomposition"
 
 
 @dataclass
@@ -127,7 +126,8 @@ class TaylorOracleResult:
 def _eigensystem(model: ModelSpec):
     """Basis, integer drive and dense symmetric eigendecomposition of the
     drive, cached per model; over-budget lattices are refused before the
-    basis is built."""
+    basis is built, and a drive that is not exactly symmetric before `eigh`
+    (which reads one triangle)."""
     dimension = blockade_dimension(model)
     if dimension > DENSE_DIMENSION_BUDGET:
         raise DimensionBudgetError(
@@ -135,6 +135,8 @@ def _eigensystem(model: ModelSpec):
         )
     basis = build_basis(model)
     drive = hamiltonian_matrix(model, basis)
+    if not drive.is_symmetric():
+        raise ValueError(f"drive of {model} is not symmetric")
     energies, vectors = np.linalg.eigh(drive.to_dense(float))
     return basis, drive, energies, vectors
 
@@ -208,10 +210,13 @@ def taylor_oracle(model: ModelSpec, obs: ObservableSpec, jmax: int) -> TaylorOra
     matrix-vector products on the orbit-sum coefficients of
     `basis.orbit_sector`, then assembles every nested-commutator expectation
     through the binomial expansion and divides by the factorial at the very
-    end.  Odd orders vanish by parity and are reported exactly as zero.  The
-    work budget counts the full blockade dimension and, with the placement
-    of the observable, is checked before anything is built.
+    end.  Odd orders vanish by parity and are reported exactly as zero.  A
+    ``jmax`` below 1, the work budget (which counts the full blockade
+    dimension) and the placement of the observable are checked before
+    anything is built.
     """
+    if jmax < 1:
+        raise ValueError(f"jmax must be at least 1, not {jmax}")
     max_ad = 2 * jmax
     work = max_ad * blockade_dimension(model)
     if work > ORACLE_WORK_BUDGET:
@@ -259,14 +264,16 @@ def g2(
     """Normalised pair correlation: <n_k n_{k+d}> / (<n_k> <n_{k+d}>).
 
     Strictly positive times only (numerator and denominator both vanish at
-    t = 0).  Distances inside the blockade range give an identically zero
-    numerator, hence a zero correlation.  Points whose denominator falls
-    below 1e-14 are undefined and reported as NaN.
+    t = 0).  The pair is placed first, so a distance below 1 or a pair that
+    does not fit the lattice is refused; distances inside the blockade range
+    give an identically zero numerator, hence a zero correlation.  Points
+    whose denominator falls below 1e-14 are undefined and reported as NaN.
     """
     times = [float(t) for t in times]
     if any(t <= 0 for t in times):
         raise ValueError("pair correlations need strictly positive times")
-    pair = correlation(d, site=site) if site is not None else correlation(d)
+    pair = correlation(d, site=site)
+    fold_word(_observable_word(pair, model), model)
     k = correlation_base_site(pair, model)
     if pair_blockaded(model, d):
         numerator = [0.0] * len(times)

@@ -24,15 +24,19 @@ of the (real) expectation value; for words with an odd number of single
 letters the odd-order contributions carry one leftover factor of i, recorded
 by the ``odd_orders_imaginary`` flag.
 
-Everything here is stateless and deterministic; per-site and per-order work
-may be distributed freely without changing any output bit.
+The per-site density is one series on every lattice: on a finite lattice
+that of the total counter ``sum_k n_k`` divided by L, the density of
+`basis.observable_matrix`, and on the infinite chain that of n_0.  On a ring
+the L counters fold into one translation class; on an open chain the words
+that neighbouring sites share merge into one term.
+
+Everything here is stateless and deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .words import (
@@ -139,30 +143,21 @@ def pair_blockaded(model: ModelSpec, d: int) -> bool:
     return d <= model.blockade_range
 
 
-def _validate_correlation(obs: ObservableSpec, model: ModelSpec) -> None:
-    d = obs.distance
-    if d is None or d < 1:
-        raise ValueError("correlation distance must be a positive integer")
-    if pair_blockaded(model, d):
-        where = f" on a ring of {model.size} sites" if model.topology == "ring" else ""
-        raise ValueError(
-            f"pair distance {d} lies within the blockade range {model.blockade_range}"
-            f"{where}; the pair counter is identically zero"
-        )
-
-
 def _observable_word(obs: ObservableSpec, model: ModelSpec) -> Word:
     """The unfolded word measured by ``obs``: n at one representative site
     for the per-site density, n_k for a local counter, n_k n_{k+d} for a pair
-    counter (refused on an open chain it does not fit), or the word itself.
-    The series and the basis both place observables through this helper."""
+    counter (refused for a distance below 1, or on an open chain it does not
+    fit), or the word itself.  The series and the basis both place
+    observables through this helper."""
     if obs.kind == "density":
         return ((0 if model.topology == "infinite" else 1, NUM),)
     if obs.kind == "local_number":
         return ((obs.site, NUM),)
     if obs.kind == "correlation":
-        k = correlation_base_site(obs, model)
         d = obs.distance
+        if d is None or d < 1:
+            raise ValueError("correlation distance must be a positive integer")
+        k = correlation_base_site(obs, model)
         if model.topology == "line" and (k < 1 or k + d > model.size):
             raise ValueError(f"pair ({k}, {k + d}) does not fit on {model.size} sites")
         return make_word({k: NUM, k + d: NUM})
@@ -172,11 +167,21 @@ def _observable_word(obs: ObservableSpec, model: ModelSpec) -> Word:
 
 
 def observable_operator(obs: ObservableSpec, model: ModelSpec) -> OperatorSum:
-    """The word operator measured by ``obs`` (one representative site for the
-    per-site density, which is handled by averaging where it matters)."""
-    if obs.kind == "correlation":
-        _validate_correlation(obs, model)
-    return canonicalize(OperatorSum({_observable_word(obs, model): 1}), model)
+    """The word operator that seeds the series of ``obs``.  The per-site
+    density is seeded on a finite lattice with the total counter
+    ``sum_k n_k`` (L one-letter words, integer coefficients), whose values
+    `_coefficients` divides by L, and on the infinite chain with n_0."""
+    if obs.kind == "density" and model.size is not None:
+        terms = {((k, NUM),): 1 for k in range(1, model.size + 1)}
+    else:
+        terms = {_observable_word(obs, model): 1}
+        if obs.kind == "correlation" and pair_blockaded(model, obs.distance):
+            where = f" on a ring of {model.size} sites" if model.topology == "ring" else ""
+            raise ValueError(
+                f"pair distance {obs.distance} lies within the blockade range "
+                f"{model.blockade_range}{where}; the pair counter is identically zero"
+            )
+    return canonicalize(OperatorSum(terms), model)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +234,8 @@ def _expectation_series(A: OperatorSum, model: ModelSpec, max_order: int) -> lis
     vacuum expectation from the *previous* operator through the cheap
     single-letter contraction, so the most expensive operator is never built.
     On rings and the infinite chain the operator is kept by translation
-    class (`commutator_classes`), which yields the same per-site values: the
-    vacuum and the drive are translation invariant.
+    class (`commutator_classes`), which yields the same values: the vacuum
+    and the drive are translation invariant.
     """
     vals = [Fraction(vacuum_expectation(A))]
     cur = translation_classes(A, model)
@@ -243,64 +248,24 @@ def _expectation_series(A: OperatorSum, model: ModelSpec, max_order: int) -> lis
 
 
 # ---------------------------------------------------------------------------
-# open-chain site bookkeeping
-# ---------------------------------------------------------------------------
-#
-# The per-site expectation on an open chain depends on the site only through
-# its distances to the two ends, and only up to the commutator reach: an end
-# at least `_support_margin` away is never felt.  Site work is therefore
-# memoised by the unordered pair of end distances, each clipped at the margin.
-
-
-def _support_margin(max_order: int, lam: int) -> int:
-    # Each commutator dilates the word support by at most 2*lam per side.
-    return 2 * max_order * lam
-
-
-@lru_cache(maxsize=None)
-def _open_site_series(lam: int, ends: tuple, max_order: int) -> tuple:
-    """Stored density series of an open-chain site whose end distances are
-    ``ends`` (ascending, clipped at the support margin).
-
-    Clipped on both sides the site is a bulk site and takes the
-    infinite-chain value; otherwise it is site ``near + 1`` of a chain of
-    ``near + far + 1`` sites, whose far end is out of reach once clipped.
-    """
-    near, far = ends
-    if near == _support_margin(max_order, lam):
-        model, site = infinite_chain(lam), 0
-    else:
-        model, site = line(near + far + 1, lam), near + 1
-    seed = observable_operator(local_number(site), model)
-    return tuple(_expectation_series(seed, model, max_order))
-
-
-def _open_chain_density(model: ModelSpec, max_order: int) -> list:
-    L, lam = model.size, model.blockade_range
-    margin = _support_margin(max_order, lam)
-    ends = (tuple(sorted(min(d, margin) for d in (k - 1, L - k))) for k in range(1, L + 1))
-    sites = [_open_site_series(lam, e, max_order) for e in ends]
-    return [sum(vals) / L for vals in zip(*sites)]
-
-
-# ---------------------------------------------------------------------------
 # coefficient computations
 # ---------------------------------------------------------------------------
 
 
 def _coefficients(model: ModelSpec, obs: ObservableSpec, max_order: int) -> SeriesCoefficients:
-    """The steps every coefficient entry point shares: refuse an order past
-    the symbolic budget before any operator is built (the top order needs
-    only ``max_order - 1`` commutators, see `_expectation_series`), expand
-    the observable's seed operator order by order (the open-chain density
-    site by site) and attach the universality metadata."""
+    """The steps every coefficient entry point shares: refuse an order below
+    1 or past the symbolic budget before any operator is built (the top
+    order needs only ``max_order - 1`` commutators, see
+    `_expectation_series`), expand the observable's seed operator order by
+    order, take the per-site density from the total counter's values and
+    attach the universality metadata."""
+    if max_order < 1:
+        raise ValueError(f"the series needs at least order 1, not {max_order}")
     if max_order - 1 > DEFAULT_ORDER_BUDGET:
         raise AdOrderBudgetError(max_order - 1, DEFAULT_ORDER_BUDGET)
-    if obs.kind == "density" and model.topology == "line":
-        vals = _open_chain_density(model, max_order)
-    else:
-        seed = observable_operator(obs, model)
-        vals = _expectation_series(seed, model, max_order)
+    vals = _expectation_series(observable_operator(obs, model), model, max_order)
+    if obs.kind == "density" and model.size is not None:
+        vals = [v / model.size for v in vals]
     return SeriesCoefficients(
         observable=obs,
         model=model,
@@ -313,9 +278,12 @@ def _coefficients(model: ModelSpec, obs: ObservableSpec, max_order: int) -> Seri
 def density_coefficients(model: ModelSpec, jmax: int) -> SeriesCoefficients:
     """Exact density coefficients through t^(2*jmax).
 
-    Rings and the infinite chain are translation invariant, so a single site
-    carries the answer.  An open chain averages over all sites, each taken
-    from the site memo keyed by its distances to the chain ends.
+    On a finite lattice this is the series of the total counter
+    ``sum_k n_k`` divided by L, the density of `basis.observable_matrix`; on
+    the infinite chain it is the series of n_0.  A ring folds the L
+    counters into one translation class.  An open chain expands them as one
+    operator, in which words shared by neighbouring sites are one term, so
+    its cost grows linearly with L.
     """
     return _coefficients(model, density(), 2 * jmax)
 

@@ -82,8 +82,6 @@ __all__ = [
     "line",
     "infinite_chain",
     "OperatorSum",
-    "zero_operator",
-    "identity_operator",
     "single_site",
     "number_operator",
     "adjoint",
@@ -419,14 +417,6 @@ class OperatorSum:
             body = " ".join(f"{s}:{_SYMBOL[a]}" for s, a in w) or "1"
             bits.append(f"{c}*{body}")
         return "OperatorSum(" + " + ".join(bits) + ")"
-
-
-def zero_operator() -> OperatorSum:
-    return OperatorSum()
-
-
-def identity_operator(coefficient=1) -> OperatorSum:
-    return OperatorSum({(): coefficient})
 
 
 def single_site(letter: Letter, site: int, coefficient=1) -> OperatorSum:

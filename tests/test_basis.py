@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from blockade.basis import (
     parity_matrix,
     total_number_matrix_recursive,
 )
+from blockade.dynamics import _eigensystem, evolve, spectral_checks
 from blockade.series import correlation, density, general_word, local_number
 from blockade.words import (
     LOWER,
@@ -186,6 +188,16 @@ class TestOrbitSector:
         monkeypatch.setattr(blockade.basis, "_flip_neighbours", raise_needs_k_plus_2_ground)
         with pytest.raises(ValueError, match="is not symmetric between orbits"):
             orbit_sector(model, density())
+
+        def refuse(*args):
+            raise AssertionError("eigh ran on an asymmetric drive")
+
+        # the full-space routes refuse before `eigh`, which reads one triangle
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        _eigensystem.cache_clear()  # so the drive is really rebuilt
+        for route in (lambda: evolve(model, density(), [0.5]), lambda: spectral_checks(model)):
+            with pytest.raises(ValueError, match=re.escape(f"drive of {model} is not symmetric")):
+                route()
 
     def test_vacuum_is_orbit_zero(self):
         # the vacuum's L drive neighbours are the single excitations

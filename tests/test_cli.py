@@ -326,10 +326,22 @@ class TestRefusals:
                 "infinite chain has no finite basis",
             ),
             (("bounds", "--table", "envelope"), "--L is required for the envelope table"),
+            (
+                ("simulate", "--L", "6", "--t-steps", "3", "--observable", "correlation", "--d", "0"),
+                "correlation distance must be a positive integer",
+            ),
+            (
+                ("simulate", "--L", "6", "--t-steps", "3", "--observable", "g2", "--d", "0"),
+                "correlation distance must be a positive integer",
+            ),
+            (
+                ("coeffs", "--L", "6", "--jmax", "0", "--with-oracle"),
+                "the series needs at least order 1, not 0",
+            ),
         ],
         ids=[
             "topology", "L", "d", "emit-q", "t-steps", "overlay-jmax", "oracle-infinite",
-            "evolve-infinite", "envelope-L",
+            "evolve-infinite", "envelope-L", "correlation-d0", "g2-d0", "coeffs-jmax0",
         ],
     )
     def test_flag_refusals(self, capsys, argv, want):

@@ -176,8 +176,9 @@ class TestEvolve:
         [
             (correlation(2, site=16), r"^pair \(16, 18\) does not fit on 16 sites$"),
             (local_number(17), r"^site 17 outside line of 16 sites$"),
+            (correlation(0), r"^correlation distance must be a positive integer$"),
         ],
-        ids=["pair", "site"],
+        ids=["pair", "site", "d0"],
     )
     def test_observable_refused_before_building(self, cache_size, obs, message):
         # the observable is placed before the eigensystem or orbit sector
@@ -281,6 +282,12 @@ class TestTaylorOracle:
         with pytest.raises(DimensionBudgetError):
             taylor_oracle(line(20), density(), 100)
 
+    @pytest.mark.parametrize("jmax", [0, -1])
+    def test_non_positive_jmax_refused_before_building(self, cache_size, jmax):
+        with pytest.raises(ValueError, match=f"^jmax must be at least 1, not {jmax}$"):
+            taylor_oracle(ring(6), density(), jmax)
+        assert dynamics._eigensystem.cache_info().currsize == cache_size
+
     def test_work_budget_refused_before_building(self, cache_size):
         with pytest.raises(DimensionBudgetError) as err:
             taylor_oracle(ring(23), density(), 22)
@@ -304,6 +311,13 @@ class TestG2:
         assert g2(ring(8), 1, [0.5]).values == [0.0]
         assert g2(ring(9, 2), 2, [0.5]).values == [0.0]
         assert g2(ring(8), 7, [0.5]).values == [0.0]  # one step the other way round
+
+    @pytest.mark.parametrize("model", [ring(6), line(8)])
+    def test_non_positive_distance_refused(self, model):
+        # placed before the blockaded-pair shortcut, which would read zeros
+        for d in (0, -2):
+            with pytest.raises(ValueError, match="correlation distance must be a positive integer"):
+                g2(model, d, [0.5])
 
     def test_zero_time_rejected(self):
         with pytest.raises(ValueError):

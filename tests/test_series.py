@@ -86,8 +86,8 @@ class TestDensity:
         "model, jmax", [(line(L), 2) for L in range(17, 21)] + [(line(17, 2), 1)]
     )
     def test_open_chain_equals_oracle_with_bulk_sites(self, model, jmax):
-        # the first chains with a bulk site at this order (both ends at least
-        # the support margin away); every other site feels one end only
+        # chains long enough that, at this order, some of their sites feel
+        # neither end: the whole-chain series against the oracle
         sym = density_coefficients(model, jmax).even_values()
         assert sym == taylor_oracle(model, density(), jmax).coefficients
 
@@ -103,6 +103,20 @@ class TestDensity:
     def test_budget_refusal(self):
         with pytest.raises(AdOrderBudgetError):
             density_coefficients(infinite_chain(), 7)
+
+    @pytest.mark.parametrize(
+        "series, order",
+        [
+            (lambda: density_coefficients(ring(6), 0), 0),
+            (lambda: density_coefficients(ring(6), -1), -2),
+            (lambda: correlation_coefficients(ring(8), 2, 0), 0),
+            (lambda: word_coefficients(line(4), make_word({1: LOWER}), 0), 0),
+        ],
+        ids=["density-0", "density-neg", "correlation-0", "word-0"],
+    )
+    def test_non_positive_order_refused(self, series, order):
+        with pytest.raises(ValueError, match=f"^the series needs at least order 1, not {order}$"):
+            series()
 
 
 class TestRingUniversality:
@@ -221,17 +235,17 @@ class TestBoundaryDeficits:
     def test_zero_universal_guard(self):
         assert _deficit(F(1), F(0), 7) is None
 
-    def test_deficit_identity_other_size(self):
-        # c_j(L) = c_j (1 - deficit_j / L) exactly, checked at a size not probed
-        qs = boundary_deficits(3, L_probe=12)
-        uni = density_coefficients(infinite_chain(), 3).even_values()
-        c8 = density_coefficients(line(8), 3).even_values()
-        for j in range(1, 4):
-            assert c8[j - 1] == uni[j - 1] * (1 - qs[j - 1] / 8)
+    @pytest.mark.parametrize("L, jmax", [(8, 3), (30, 5), (60, 5)])
+    def test_deficit_identity_other_size(self, L, jmax):
+        # c_j(L) = c_j (1 - deficit_j / L) exactly, checked at sizes not
+        # probed; 30 and 60 are past the 26-site cap, where no oracle reaches
+        qs = boundary_deficits(jmax, L_probe=12)
+        uni = density_coefficients(infinite_chain(), jmax).even_values()
+        c = density_coefficients(line(L), jmax).even_values()
+        assert c == [uni[j] * (1 - qs[j] / L) for j in range(jmax)]
 
     def test_deficit_identity_with_range2_bulk_sites(self):
-        # line(33, 2) is the first range-2 chain with a bulk site at t^4,
-        # past every lattice the oracle can enumerate
+        # line(33, 2) is past every lattice the oracle can enumerate
         q = boundary_deficits(2, L_probe=12, blockade_range=2)[1]
         uni = density_coefficients(infinite_chain(2), 2).coefficient(4)
         c = density_coefficients(line(33, 2), 2).coefficient(4)
