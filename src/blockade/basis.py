@@ -23,7 +23,8 @@ line, reflections and rotations on a ring), and so is every power of the
 drive applied to it.  `orbit_sector` groups the basis states into orbits
 under that group and writes the drive and an observable in the basis of
 unnormalised orbit sums, where both stay exact integer matrices; the
-integer Taylor oracle runs there.
+integer Taylor oracle and the exact evolution of `blockade.dynamics` run
+there.
 
 States are stored as occupation bitsets (bit k-1 set means site k excited,
 so the printed string for the integer 5 on four sites is 1010).  Operator
@@ -365,28 +366,31 @@ def _orbit(occupation: int, model: ModelSpec) -> set[int]:
     return images
 
 
-def orbit_sector(
-    model: ModelSpec, obs: ObservableSpec
-) -> tuple[SparseIntMatrix, SparseIntMatrix]:
-    """Drive and observable in the basis of unnormalised orbit sums.
+@dataclass(frozen=True)
+class _OrbitSector:
+    """The orbits of one lattice's basis states and the integer drive on
+    their unnormalised sums (see `orbit_sector`)."""
 
-    The basis states split into orbits of the lattice-symmetry group; orbit
-    r, numbered by its first state in basis order (the vacuum is orbit 0),
-    carries the sum |r> of its members.  A group-invariant vector, such as
-    any power of the drive applied to the vacuum, is sum_r c_r |r> with c_r
-    its amplitude on each member of r.  The drive acts on the integer
-    coefficients c through the matrix whose entry (r', r) counts the drive
-    neighbours that the first state of orbit r' has in orbit r.  Any
-    observable O, symmetric or not, enters invariant vectors u and v as
-    <u|O|v> = sum c_u(r') O(r', r) c_v(r), where O(r', r) sums the full-space
-    entries of `observable_matrix` over the pair of orbits.  Both matrices
-    are exact integer matrices.
+    basis: BlockadeBasis
+    orbit_of: dict  # state -> orbit number
+    sizes: list  # n_r, the number of states in orbit r
+    drive: SparseIntMatrix
 
-    A symmetric drive joins orbits r' and r by as many edges seen from
-    either side, n_r' A(r', r) = n_r A(r, r') with n_r the orbit size.  The
-    oracle's bra H^m e0 and `np.linalg.eigh` rely on that symmetry, so it is
-    checked here in integers and a `ValueError` is raised when it fails.
-    """
+    def observable(self, obs: ObservableSpec) -> SparseIntMatrix:
+        """O(r', r): the entries of `observable_matrix` summed over each pair
+        of orbits."""
+        orbit_of, states = self.orbit_of, self.basis.states
+        sums: dict = {}
+        for (i, j), v in observable_matrix(self.basis.model, self.basis, obs).entries.items():
+            key = (orbit_of[states[i]], orbit_of[states[j]])
+            sums[key] = sums.get(key, 0) + v
+        return SparseIntMatrix(len(self.sizes), sums)
+
+
+def _orbit_walk(model: ModelSpec) -> _OrbitSector:
+    """The orbits of `orbit_sector` and its integer drive, checked for
+    symmetry.  Orbit r is numbered by its first state in basis order, so the
+    vacuum is orbit 0 and alone in it."""
     basis = build_basis(model)
     orbit_of: dict = {}
     firsts, sizes = [], []
@@ -406,9 +410,33 @@ def orbit_sector(
     for (r, c), v in drive.items():
         if sizes[r] * v != sizes[c] * drive.get((c, r), 0):
             raise ValueError(f"drive of {model} is not symmetric between orbits {r} and {c}")
-    observable: dict = {}
-    states = basis.states
-    for (i, j), v in observable_matrix(model, basis, obs).entries.items():
-        key = (orbit_of[states[i]], orbit_of[states[j]])
-        observable[key] = observable.get(key, 0) + v
-    return SparseIntMatrix(len(firsts), drive), SparseIntMatrix(len(firsts), observable)
+    return _OrbitSector(basis, orbit_of, sizes, SparseIntMatrix(len(firsts), drive))
+
+
+def orbit_sector(
+    model: ModelSpec, obs: ObservableSpec
+) -> tuple[SparseIntMatrix, SparseIntMatrix]:
+    """Drive and observable in the basis of unnormalised orbit sums.
+
+    The basis states split into orbits of the lattice-symmetry group; orbit
+    r, numbered by its first state in basis order (the vacuum is orbit 0),
+    carries the sum |r> of its n_r members.  A group-invariant vector, such
+    as any power of the drive applied to the vacuum, is sum_r c_r |r> with
+    c_r its amplitude on each member of r.  The drive acts on the integer
+    coefficients c through the matrix A whose entry (r', r) counts the drive
+    neighbours that the first state of orbit r' has in orbit r.  Any
+    observable O, symmetric or not, enters invariant vectors u and v as
+    <u|O|v> = sum c_u(r') O(r', r) c_v(r), where O(r', r) sums the full-space
+    entries of `observable_matrix` over the pair of orbits.  Both matrices
+    are exact integer matrices.
+
+    A symmetric drive joins orbits r' and r by as many edges seen from
+    either side, n_r' A(r', r) = n_r A(r, r').  The oracle's bra H^m e0
+    relies on that symmetry, and so does `np.linalg.eigh`, which
+    `dynamics.evolve` runs on the normalised sector drive
+    A(r', r) sqrt(n_r' / n_r) (amplitudes c_r sqrt(n_r)), so it is checked
+    here in integers and a `ValueError` is raised when it fails.  Nothing is
+    cached: the basis of a large oracle lattice is freed on return.
+    """
+    sector = _orbit_walk(model)
+    return sector.drive, sector.observable(obs)

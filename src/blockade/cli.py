@@ -182,7 +182,8 @@ def cmd_simulate(args) -> int:
         elif args.observable == "correlation":
             res = evolve(model, correlation(args.d), times)
         else:  # g2
-            res = g2(model, args.d, [t for t in times if t > 0])
+            # non-positive times are dropped; a NaN time is kept, for g2 to refuse
+            res = g2(model, args.d, [t for t in times if not t <= 0])
             times = res.times
         columns.append((f"{args.observable}_{topo}", res.values))
     if args.overlay_universal:

@@ -1,13 +1,20 @@
 """Exact time evolution in the blockade subspace and an integer Taylor oracle.
 
-Evolution starts from the all-ground state (always the first basis vector)
-and proceeds by one dense symmetric eigendecomposition per lattice.  The
-eigenvectors are real, so the states of a whole block of time points come
-from one real matrix product against the cosines and sines of the phases,
-and the evolved expectation of a self-adjoint observable is real to machine
-precision.  Desk-scale dimensions (a few thousand) make this both
-exact-in-time and cheap; requests beyond the dimension or work budget are
-refused from the closed-form dimension, before any basis is built.
+Evolution starts from the all-ground state.  The vacuum and every state it
+evolves into are invariant under the lattice symmetries (reflection, and
+rotation on a ring), so the evolution runs on the orbit sums of
+`basis.orbit_sector`: 49 states instead of 843 on a 14-site ring, 209
+instead of 5,778 on 18 sites.  On the normalised orbit sums the drive is
+the real symmetric matrix A(r', r) sqrt(n_r' / n_r), with n_r the orbit
+size, and one dense eigendecomposition of it per lattice serves every
+observable and time.  The eigenvectors are real, so the states of a whole
+block of time points come from one real matrix product against the cosines
+and sines of the phases, and the evolved expectation of a self-adjoint
+observable is real to machine precision.  The dimension budget counts the
+full blockade dimension; requests beyond it or the oracle's work budget are
+refused from the closed-form dimension, before any basis is built.  Only the
+spectral diagnostics, which need the whole spectrum, diagonalise the full
+blockade space.
 
 The Taylor oracle is the package's independent route to the series
 coefficients: powers of the drive matrix applied to the initial vector are
@@ -16,11 +23,10 @@ binomial sum
 
     <ad^M(O)> = sum_m (-1)^m C(M, m) (H^(M-m) e0) . O (H^m e0),
 
-rational division entering only at the final factorial.  The vacuum and
-every H^m e0 are invariant under the lattice symmetries, so the oracle works
-on their integer coefficients over unnormalised orbit sums
-(`basis.orbit_sector`): the drive and the observable become exact integer
-matrices of the sector dimension (209 instead of 5,778 on an 18-site ring)
+rational division entering only at the final factorial.  Every H^m e0 is
+invariant under the lattice symmetries too, so the oracle works on its
+integer coefficients over the same orbit sums, unnormalised: there the
+drive and the observable are exact integer matrices of the sector dimension
 and the binomial sum is unchanged.  Its results must match the symbolic
 engine digit for digit, which is the strongest self-test in the package.
 
@@ -42,6 +48,7 @@ import numpy as np
 
 from .basis import (
     SparseIntMatrix,
+    _orbit_walk,
     blockade_dimension,
     build_basis,
     hamiltonian_matrix,
@@ -122,17 +129,24 @@ class TaylorOracleResult:
     coefficients: list = field(default_factory=list)
 
 
-@lru_cache(maxsize=4)
-def _eigensystem(model: ModelSpec):
-    """Basis, integer drive and dense symmetric eigendecomposition of the
-    drive, cached per model; over-budget lattices are refused before the
-    basis is built, and a drive that is not exactly symmetric before `eigh`
-    (which reads one triangle)."""
+def _check_dense_budget(model: ModelSpec) -> None:
+    """Refuse a lattice whose full blockade dimension is over the dense
+    budget, from the closed form, before anything is built."""
     dimension = blockade_dimension(model)
     if dimension > DENSE_DIMENSION_BUDGET:
         raise DimensionBudgetError(
             dimension, DENSE_DIMENSION_BUDGET, "dense eigendecomposition"
         )
+
+
+@lru_cache(maxsize=4)
+def _eigensystem(model: ModelSpec):
+    """Basis, integer drive and dense symmetric eigendecomposition of the
+    drive over the whole blockade space, cached per model, for the spectral
+    diagnostics; over-budget lattices are refused before the basis is
+    built, and a drive that is not exactly symmetric before `eigh` (which
+    reads one triangle)."""
+    _check_dense_budget(model)
     basis = build_basis(model)
     drive = hamiltonian_matrix(model, basis)
     if not drive.is_symmetric():
@@ -141,20 +155,54 @@ def _eigensystem(model: ModelSpec):
     return basis, drive, energies, vectors
 
 
-def _expectations(energies, vectors, matrix: SparseIntMatrix, times):
-    """Squared norms and the real and imaginary parts of <psi(t)|O|psi(t)>,
-    psi(t) = exp(-iHt)|vacuum>, for every t in ``times``.
+@lru_cache(maxsize=4)
+def _sector_eigensystem(model: ModelSpec):
+    """Orbit sector and dense symmetric eigendecomposition of its normalised
+    drive, cached per model.
 
-    With real eigenvectors V and vacuum overlaps w, psi(t) = R - iI where
-    R = V (cos(Et) w) and I = V (sin(Et) w); one product of V with the stacked
-    cosine and sine columns gives both for a block of time points.  O acts
-    through its coordinate entries, so the expectation is a weighted sum of
-    amplitude products gathered at (row, column) pairs.
+    On the normalised orbit sums |r> / sqrt(n_r) the drive is
+    A(r', r) sqrt(n_r' / n_r) = n_r' A(r', r) / sqrt(n_r' n_r).  The orbit
+    walk has checked that the integer edge count n_r' A(r', r) is symmetric,
+    so the float matrix is exactly symmetric as well.  Refused like the full
+    space, from the closed-form full dimension, before the basis is built.
     """
+    _check_dense_budget(model)
+    sector = _orbit_walk(model)
+    n = sector.sizes
+    drive = np.zeros((len(n), len(n)))
+    for (r, c), v in sector.drive.entries.items():
+        drive[r, c] = n[r] * v / math.sqrt(n[r] * n[c])
+    energies, vectors = np.linalg.eigh(drive)
+    return sector, energies, vectors
+
+
+def _coordinates(matrix: SparseIntMatrix, sizes=None):
+    """Rows, columns and float values of the entries of ``matrix``.  Given
+    orbit ``sizes``, each orbit-summed entry O(r', r) is divided by
+    sqrt(n_r' n_r), which makes it act on normalised orbit amplitudes."""
     coo = np.array(
         [(r, c, v) for (r, c), v in matrix.entries.items()], dtype=np.int64
     ).reshape(-1, 3)
     rows, cols, vals = coo[:, 0], coo[:, 1], coo[:, 2].astype(float)
+    if sizes is not None:
+        n = np.asarray(sizes, dtype=np.int64)
+        vals /= np.sqrt(n[rows] * n[cols])
+    return rows, cols, vals
+
+
+def _expectations(energies, vectors, observable, times):
+    """Squared norms and the real and imaginary parts of <psi(t)|O|psi(t)>,
+    psi(t) = exp(-iHt)|vacuum>, for every t in ``times``.
+
+    With real eigenvectors V and vacuum overlaps w (the vacuum is the first
+    coordinate), psi(t) = R - iI where R = V (cos(Et) w) and
+    I = V (sin(Et) w); one product of V with the stacked cosine and sine
+    columns gives both for a block of time points.  O acts through its
+    coordinate entries ``observable = (rows, cols, vals)``, so the
+    expectation is a weighted sum of amplitude products gathered at
+    (row, column) pairs.
+    """
+    rows, cols, vals = observable
     weights = vectors[0, :][:, None]
     times = np.asarray(times, dtype=float)
     n2, re, im = (np.empty(times.size) for _ in range(3))
@@ -169,29 +217,45 @@ def _expectations(energies, vectors, matrix: SparseIntMatrix, times):
     return n2, re, im
 
 
+def _finite_times(times) -> list[float]:
+    """The time grid as floats; a NaN or infinite time is refused."""
+    times = [float(t) for t in times]
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"times must be finite, got {t}")
+    return times
+
+
 def evolve(model: ModelSpec, obs: ObservableSpec, times) -> EvolutionResult:
     """Exact expectation of ``obs`` along ``times``, vacuum initial state.
 
-    One eigendecomposition per model (cached); the states of all non-zero
-    time points then come from real matrix products, one per block of
-    ``_BLOCK_POINTS`` points, and t = 0 is the exact vacuum element.  The
-    evolved state's norm is checked to 1e-12 and the expectation's imaginary
-    residue to 1e-10 at every point; both are guaranteed by symmetry, so a
-    violation raises instead of being hidden.  An observable that does not
-    fit the lattice is refused by its placement, before the eigensystem.
+    Runs in the orbit sector: one eigendecomposition of the normalised
+    sector drive per model (cached), and ``obs`` summed over pairs of orbits
+    and weighted by 1 / sqrt(n_r' n_r).  The squared norm of the normalised
+    sector amplitudes is the full-space norm, and the expectation is the
+    full-space one.  The states of all non-zero time points come from real
+    matrix products, one per block of ``_BLOCK_POINTS`` points, and t = 0 is
+    the exact vacuum element (the vacuum is orbit 0, alone).  The evolved
+    state's norm is checked to 1e-12 and the expectation's imaginary residue
+    to 1e-10 at every point; both are guaranteed by symmetry, so a violation
+    (NaN included) raises instead of being hidden.  Non-finite times and an
+    observable that does not fit the lattice are refused before the
+    eigensystem is built.
     """
+    times = _finite_times(times)
     fold_word(_observable_word(obs, model), model)
-    basis, _, energies, vectors = _eigensystem(model)
-    matrix = observable_matrix(model, basis, obs)
+    sector, energies, vectors = _sector_eigensystem(model)
+    matrix = sector.observable(obs)
     norm = 1.0 / model.size if obs.kind == "density" else 1.0
-    times = [float(t) for t in times]
     values = [matrix.entries.get((0, 0), 0) * norm] * len(times)  # vacuum element, exact
     later = [i for i, t in enumerate(times) if t != 0.0]
-    n2, re, im = _expectations(energies, vectors, matrix, [times[i] for i in later])
+    n2, re, im = _expectations(
+        energies, vectors, _coordinates(matrix, sector.sizes), [times[i] for i in later]
+    )
     for i, sq, real, imag in zip(later, n2, re, im):
-        if abs(sq - 1.0) > _NORM_TOL * 10:
+        if not abs(sq - 1.0) <= _NORM_TOL * 10:
             raise ArithmeticError(f"evolved-state norm defect {abs(sq - 1.0):.2e}")
-        if abs(imag) > _IMAG_TOL:
+        if not abs(imag) <= _IMAG_TOL:
             raise ArithmeticError(f"imaginary residue {imag:.2e} at t={times[i]}")
         values[i] = float(real) * norm
     return EvolutionResult(model=model, observable=obs, times=times, values=values)
@@ -210,7 +274,12 @@ def taylor_oracle(model: ModelSpec, obs: ObservableSpec, jmax: int) -> TaylorOra
     matrix-vector products on the orbit-sum coefficients of
     `basis.orbit_sector`, then assembles every nested-commutator expectation
     through the binomial expansion and divides by the factorial at the very
-    end.  Odd orders vanish by parity and are reported exactly as zero.  A
+    end.  The bra <e0| H^(M-m) of each term is taken as the vector
+    H^(M-m) e0, where (H^T)^(M-m) e0 is meant: that is correct because the
+    drive is symmetric, and `orbit_sector` refuses a drive that is not.  Odd
+    orders come from the same sum; for a self-adjoint observable its terms
+    cancel in pairs (m against M - m), so they are exactly zero, while a
+    word such as a lone raising operator has non-zero odd orders.  A
     ``jmax`` below 1, the work budget (which counts the full blockade
     dimension) and the placement of the observable are checked before
     anything is built.
@@ -263,13 +332,14 @@ def g2(
 ) -> EvolutionResult:
     """Normalised pair correlation: <n_k n_{k+d}> / (<n_k> <n_{k+d}>).
 
-    Strictly positive times only (numerator and denominator both vanish at
-    t = 0).  The pair is placed first, so a distance below 1 or a pair that
-    does not fit the lattice is refused; distances inside the blockade range
-    give an identically zero numerator, hence a zero correlation.  Points
+    Strictly positive, finite times only (numerator and denominator both
+    vanish at t = 0).  The pair is placed first, so a distance below 1 or a
+    pair that does not fit the lattice is refused; distances inside the
+    blockade range give an identically zero numerator, hence a zero
+    correlation.  Points
     whose denominator falls below 1e-14 are undefined and reported as NaN.
     """
-    times = [float(t) for t in times]
+    times = _finite_times(times)
     if any(t <= 0 for t in times):
         raise ValueError("pair correlations need strictly positive times")
     pair = correlation(d, site=site)
@@ -326,7 +396,7 @@ def spectral_checks(model: ModelSpec, sample_times=(0.3, 1.1, 2.7)) -> SpectralR
 
     signed = [sign * float(t) for t in sample_times for sign in (1.0, -1.0)]
     n2, re, _ = _expectations(
-        energies, vectors, observable_matrix(model, basis, density()), signed
+        energies, vectors, _coordinates(observable_matrix(model, basis, density())), signed
     )
     norm_defect = float(np.max(np.abs(n2 - 1.0), initial=0.0))
     rho = re / model.size

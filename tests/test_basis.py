@@ -23,7 +23,7 @@ from blockade.basis import (
     parity_matrix,
     total_number_matrix_recursive,
 )
-from blockade.dynamics import _eigensystem, evolve, spectral_checks
+from blockade.dynamics import _eigensystem, _sector_eigensystem, evolve, spectral_checks
 from blockade.series import correlation, density, general_word, local_number
 from blockade.words import (
     LOWER,
@@ -192,9 +192,11 @@ class TestOrbitSector:
         def refuse(*args):
             raise AssertionError("eigh ran on an asymmetric drive")
 
-        # the full-space routes refuse before `eigh`, which reads one triangle
+        # `evolve` (through the orbit walk) and `spectral_checks` (full space)
+        # refuse before `eigh`, which reads one triangle
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        _eigensystem.cache_clear()  # so the drive is really rebuilt
+        _eigensystem.cache_clear()  # so the drives are really rebuilt
+        _sector_eigensystem.cache_clear()
         for route in (lambda: evolve(model, density(), [0.5]), lambda: spectral_checks(model)):
             with pytest.raises(ValueError, match=re.escape(f"drive of {model} is not symmetric")):
                 route()

@@ -338,10 +338,23 @@ class TestRefusals:
                 ("coeffs", "--L", "6", "--jmax", "0", "--with-oracle"),
                 "the series needs at least order 1, not 0",
             ),
+            (
+                ("simulate", "--topology", "ring", "--L", "8", "--t-stop", "nan", "--t-steps", "3"),
+                "times must be finite, got nan",
+            ),
+            (
+                ("simulate", "--L", "8", "--t-stop", "nan", "--t-steps", "3", "--observable", "g2", "--d", "2"),
+                "times must be finite, got nan",
+            ),
+            (
+                ("simulate", "--L", "8", "--t-stop", "inf", "--t-steps", "3", "--window-vs", "10"),
+                "times must be finite, got nan",
+            ),
         ],
         ids=[
             "topology", "L", "d", "emit-q", "t-steps", "overlay-jmax", "oracle-infinite",
             "evolve-infinite", "envelope-L", "correlation-d0", "g2-d0", "coeffs-jmax0",
+            "t-stop-nan", "g2-t-stop-nan", "window-t-stop-inf",
         ],
     )
     def test_flag_refusals(self, capsys, argv, want):

@@ -1,5 +1,6 @@
 """Evolution, the integer Taylor oracle, and spectral diagnostics."""
 
+import functools
 import math
 import statistics
 from fractions import Fraction
@@ -39,19 +40,28 @@ from blockade.series import (
 from blockade.words import RAISE, Letter, line, make_word, ring
 
 
+def cache_sizes():
+    """Sizes of the full-space and the sector eigensystem caches."""
+    return (
+        dynamics._eigensystem.cache_info().currsize,
+        dynamics._sector_eigensystem.cache_info().currsize,
+    )
+
+
 @pytest.fixture
 def cache_size(monkeypatch):
-    """Make any basis, state enumeration or orbit sector fail; return the
-    eigensystem cache size before."""
+    """Make any basis, state enumeration, orbit walk or orbit sector fail;
+    return both eigensystem cache sizes before."""
 
     def refuse(*args):
         raise AssertionError(f"built {args} before refusing")
 
     monkeypatch.setattr(dynamics, "build_basis", refuse)
     monkeypatch.setattr(dynamics, "orbit_sector", refuse)
+    monkeypatch.setattr(dynamics, "_orbit_walk", refuse)
     monkeypatch.setattr(basis, "build_basis", refuse)
     monkeypatch.setattr(basis, "_admissible_states", refuse)
-    return dynamics._eigensystem.cache_info().currsize
+    return cache_sizes()
 
 
 def full_space_ad_expectations(model, obs, jmax):
@@ -75,6 +85,45 @@ def full_space_ad_expectations(model, obs, jmax):
     return out
 
 
+@functools.lru_cache(maxsize=2)
+def full_space_eigensystem(model):
+    """Basis and eigendecomposition of the drive over the whole blockade
+    basis (up to 2,584 states), kept for a lattice drawn again."""
+    b = build_basis(model)
+    return b, *np.linalg.eigh(hamiltonian_matrix(model, b).to_dense(float))
+
+
+def full_space_evolution(model, obs, times):
+    """Complex <psi(t)|O|psi(t)> from the full-space eigendecomposition: the
+    reference for the sector evolution."""
+    b, energies, vectors = full_space_eigensystem(model)
+    matrix = observable_matrix(model, b, obs).to_dense(float)
+    scale = 1 / model.size if obs.kind == "density" else 1.0
+    states = vectors @ (np.exp(-1j * np.outer(energies, times)) * vectors[0, :, None])
+    return np.einsum("it,ij,jt->t", states.conj(), matrix, states) * scale
+
+
+def draw_observable(draw, model):
+    """An observable of any of the four kinds, placed on ``model``."""
+    L, topology = model.size, model.topology
+    kind = draw(st.sampled_from(["density", "local_number", "correlation", "word"]))
+    if kind == "density":
+        return density()
+    if kind == "local_number":
+        return local_number(draw(st.integers(1, L)))
+    if kind == "correlation":
+        assume(L >= 2)
+        d = draw(st.integers(1, L - 1))
+        return correlation(d, site=draw(st.integers(1, L if topology == "ring" else L - d)))
+    span = 2 * L if topology == "ring" else L  # ring words may wrap and fold
+    letters = draw(
+        st.dictionaries(
+            st.integers(1, span), st.sampled_from(list(Letter)), min_size=1, max_size=4
+        )
+    )
+    return general_word(make_word(letters))
+
+
 @st.composite
 def oracle_cases(draw):
     """A lattice of up to 12 sites, blockade range up to 3, and an observable
@@ -83,24 +132,22 @@ def oracle_cases(draw):
     lam = draw(st.integers(1, 3))
     L = draw(st.integers(lam + 1 if topology == "ring" else 1, 12))
     model = ring(L, lam) if topology == "ring" else line(L, lam)
-    kind = draw(st.sampled_from(["density", "local_number", "correlation", "word"]))
-    if kind == "density":
-        obs = density()
-    elif kind == "local_number":
-        obs = local_number(draw(st.integers(1, L)))
-    elif kind == "correlation":
-        assume(L >= 2)
-        d = draw(st.integers(1, L - 1))
-        obs = correlation(d, site=draw(st.integers(1, L if topology == "ring" else L - d)))
+    return model, draw_observable(draw, model), draw(st.integers(1, 4))
+
+
+@st.composite
+def evolution_cases(draw):
+    """A ring of 3 to 16 sites or a line of up to 16, blockade range up to 3,
+    an observable of every kind and a few times in [0, 8]."""
+    lam = draw(st.integers(1, 3))
+    if draw(st.sampled_from(["ring", "line"])) == "ring":
+        L = draw(st.integers(3, 16))
+        assume(lam < L)  # `ModelSpec` refuses a range that covers the ring
+        model = ring(L, lam)
     else:
-        span = 2 * L if topology == "ring" else L  # ring words may wrap and fold
-        letters = draw(
-            st.dictionaries(
-                st.integers(1, span), st.sampled_from(list(Letter)), min_size=1, max_size=4
-            )
-        )
-        obs = general_word(make_word(letters))
-    return model, obs, draw(st.integers(1, 4))
+        model = line(draw(st.integers(1, 16)), lam)
+    times = draw(st.lists(st.floats(0, 8), min_size=1, max_size=3))
+    return model, draw_observable(draw, model), times
 
 
 class TestEvolve:
@@ -155,11 +202,48 @@ class TestEvolve:
         single = [evolve(ring(9), correlation(2), [t]).values[0] for t in times]
         assert max(abs(a - b) for a, b in zip(whole, single)) < 1e-12
 
+    @given(evolution_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_sector_equals_full_space(self, case):
+        model, obs, times = case
+        want = full_space_evolution(model, obs, times)
+        if np.max(np.abs(want.imag)) > dynamics._IMAG_TOL:
+            # e.g. a lone raising operator: its expectation is imaginary
+            with pytest.raises(ArithmeticError, match="imaginary residue"):
+                evolve(model, obs, times)
+        else:
+            got = evolve(model, obs, times).values
+            assert np.max(np.abs(np.array(got) - want.real)) < 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_refused_before_building(self, cache_size, bad):
+        for route in (
+            lambda: evolve(ring(6), density(), [bad, 0.5]),
+            lambda: evolve(ring(6), density(), [0.5, bad]),
+            lambda: g2(ring(6), 2, [0.5, bad]),
+            lambda: g2(ring(6), 1, [bad]),  # before the blockaded-pair shortcut
+        ):
+            with pytest.raises(ValueError, match=f"^times must be finite, got {bad}$"):
+                route()
+        assert cache_sizes() == cache_size
+
+    @pytest.mark.parametrize("column, message", [(0, "norm defect"), (2, "imaginary residue")])
+    def test_nan_fails_the_point_checks(self, monkeypatch, column, message):
+        # a NaN norm or residue raises; it is not read as within tolerance
+        def poisoned(energies, vectors, observable, times):
+            out = [np.ones(len(times)), np.zeros(len(times)), np.zeros(len(times))]
+            out[column][:] = np.nan
+            return out
+
+        monkeypatch.setattr(dynamics, "_expectations", poisoned)
+        with pytest.raises(ArithmeticError, match=message):
+            evolve(ring(6), density(), [0.5])
+
     def test_dimension_budget_refusal(self, cache_size):
         with pytest.raises(DimensionBudgetError) as err:
             evolve(line(21), density(), [0.1])
         assert err.value.dimension == 28657
-        assert dynamics._eigensystem.cache_info().currsize == cache_size
+        assert cache_sizes() == cache_size
 
     def test_ring_domain_message_is_shared(self):
         # the domain is checked once, when the model is built, so no route
@@ -188,7 +272,7 @@ class TestEvolve:
         ):
             with pytest.raises(ValueError, match=message):
                 route()
-        assert dynamics._eigensystem.cache_info().currsize == cache_size
+        assert cache_sizes() == cache_size
 
     def test_pair_that_does_not_fit_is_refused(self):
         # every route places a pair counter through one rule, so a pair
@@ -286,13 +370,13 @@ class TestTaylorOracle:
     def test_non_positive_jmax_refused_before_building(self, cache_size, jmax):
         with pytest.raises(ValueError, match=f"^jmax must be at least 1, not {jmax}$"):
             taylor_oracle(ring(6), density(), jmax)
-        assert dynamics._eigensystem.cache_info().currsize == cache_size
+        assert cache_sizes() == cache_size
 
     def test_work_budget_refused_before_building(self, cache_size):
         with pytest.raises(DimensionBudgetError) as err:
             taylor_oracle(ring(23), density(), 22)
         assert err.value.dimension == 44 * 64_079
-        assert dynamics._eigensystem.cache_info().currsize == cache_size
+        assert cache_sizes() == cache_size
 
 
 def correlation_coefficients_even(model, d, jmax):
