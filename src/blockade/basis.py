@@ -24,7 +24,11 @@ drive applied to it.  `orbit_sector` groups the basis states into orbits
 under that group and writes the drive and an observable in the basis of
 unnormalised orbit sums, where both stay exact integer matrices; the
 integer Taylor oracle and the exact evolution of `blockade.dynamics` run
-there.
+there.  One builder, `_OrbitSector`, writes both matrices for any grouping:
+the full space is the sector of the trivial group, in which every state is
+its own orbit, so `hamiltonian_matrix` and `observable_matrix` are its
+singleton case and share its drive loop, its observable pass and its
+integer symmetry check.
 
 States are stored as occupation bitsets (bit k-1 set means site k excited,
 so the printed string for the integer 5 on four sites is 1010).  Operator
@@ -227,15 +231,75 @@ def build_basis(model: ModelSpec) -> BlockadeBasis:
 # ---------------------------------------------------------------------------
 
 
-def _check_basis(model: ModelSpec, basis: BlockadeBasis) -> None:
-    if basis.model != model:
-        raise ValueError(f"basis built for {basis.model}, asked about {model}")
-
-
 def _flip_neighbours(s: int, masks: list[int]) -> list[int]:
     """States one drive flip away from ``s``: any excitation lowered, or any
     ground site raised whose blockade neighbourhood is unexcited."""
     return [s ^ 1 << k for k, m in enumerate(masks) if s >> k & 1 or not s & m]
+
+
+@dataclass(frozen=True)
+class _OrbitSector:
+    """The basis states of one lattice grouped into orbits, and the integer
+    drive and observables on the unnormalised orbit sums (see
+    `orbit_sector`).  The full space is the sector of the trivial group:
+    every state is its own orbit, numbered by `BlockadeBasis.index`."""
+
+    basis: BlockadeBasis
+    orbit_of: dict  # state -> orbit number
+    firsts: tuple  # the first state of each orbit, in basis order
+    sizes: list  # n_r, the number of states in orbit r
+
+    def drive(self) -> SparseIntMatrix:
+        """A(r', r), the drive neighbours that the first state of orbit r'
+        has in orbit r, checked in integers for n_r' A(r', r) = n_r A(r, r')."""
+        masks, orbit_of, sizes = self.basis.model.neighborhood_masks, self.orbit_of, self.sizes
+        drive: dict = {}
+        for r, s in enumerate(self.firsts):
+            for t in _flip_neighbours(s, masks):
+                key = (r, orbit_of[t])
+                drive[key] = drive.get(key, 0) + 1
+        for (r, c), v in drive.items():
+            if sizes[r] * v != sizes[c] * drive.get((c, r), 0):
+                raise ValueError(
+                    f"drive of {self.basis.model} is not symmetric between orbits {r} and {c}"
+                )
+        return SparseIntMatrix(len(sizes), drive)
+
+    def observable(self, obs: ObservableSpec) -> SparseIntMatrix:
+        """O(r', r), the full-space entries of ``obs`` summed over each pair
+        of orbits, in one pass over the basis states.
+
+        The density is the total counter, diagonal.  Every other observable
+        is placed as a word by the same rule as the series and packed by
+        `words.fold_word` into ``(S, O, I)``: it takes a basis state ``s``
+        with ``s & S == I`` to ``s & ~S | O`` and annihilates the rest, and
+        images that leave the subspace are projected to zero rather than
+        flagged.
+        """
+        model, orbit_of = self.basis.model, self.orbit_of
+        sums: dict = {}
+        if obs.kind == "density":
+            for s in self.basis.states:
+                key = (orbit_of[s],) * 2
+                sums[key] = sums.get(key, 0) + bin(s).count("1")
+            return SparseIntMatrix(len(self.sizes), sums)
+        packed = fold_word(_observable_word(obs, model), model)
+        if packed is not None:
+            S, O, I = packed
+            for s in self.basis.states:
+                if s & S == I:
+                    r = orbit_of.get(s & ~S | O)
+                    if r is not None:  # None: image outside the subspace, projected away
+                        key = (r, orbit_of[s])
+                        sums[key] = sums.get(key, 0) + 1
+        return SparseIntMatrix(len(self.sizes), sums)
+
+
+def _singletons(model: ModelSpec, basis: BlockadeBasis) -> _OrbitSector:
+    """The full space of ``model`` as the orbit sector of the trivial group."""
+    if basis.model != model:
+        raise ValueError(f"basis built for {basis.model}, asked about {model}")
+    return _OrbitSector(basis, basis.index, basis.states, [1] * basis.dimension)
 
 
 def hamiltonian_matrix(model: ModelSpec, basis: BlockadeBasis) -> SparseIntMatrix:
@@ -243,18 +307,12 @@ def hamiltonian_matrix(model: ModelSpec, basis: BlockadeBasis) -> SparseIntMatri
 
     The element between two states is 1 exactly when they differ by a single
     flip whose blockade neighbourhood is unexcited; the matrix is symmetric
-    with 0/1 entries.  For open nearest-neighbour chains acceptance check C8
-    compares it entry for entry with the block recursion.
+    with 0/1 entries.  It is the drive of `_OrbitSector` on singleton
+    orbits, so the same integer symmetry check runs.  For open
+    nearest-neighbour chains acceptance check C8 compares it entry for entry
+    with the block recursion.
     """
-    _check_basis(model, basis)
-    masks = model.neighborhood_masks
-    index = basis.index
-    entries = {
-        (i, index[t]): 1
-        for i, s in enumerate(basis.states)
-        for t in _flip_neighbours(s, masks)
-    }
-    return SparseIntMatrix(basis.dimension, entries)
+    return _singletons(model, basis).drive()
 
 
 def drive_matrix_recursive(L: int) -> SparseIntMatrix:
@@ -309,34 +367,14 @@ def total_number_matrix_recursive(L: int) -> SparseIntMatrix:
 def observable_matrix(
     model: ModelSpec, basis: BlockadeBasis, obs: ObservableSpec
 ) -> SparseIntMatrix:
-    """Matrix of an observable restricted to the blockade subspace.
+    """Matrix of an observable restricted to the blockade subspace: the
+    observable of `_OrbitSector` on singleton orbits.
 
     The per-site density observable is represented by the *total* counter
-    (consumers divide by L).  Every other observable is placed as a word by
-    the same rule as the series and packed by `words.fold_word` into
-    ``(S, O, I)``: it takes a basis state ``s`` with ``s & S == I`` to
-    ``s & ~S | O`` and annihilates the rest, and images that leave the
-    subspace are projected to zero rather than flagged.  For open
-    nearest-neighbour chains acceptance check C8 compares the total counter
-    with its block recursion.
+    (consumers divide by L).  For open nearest-neighbour chains acceptance
+    check C8 compares it with its block recursion.
     """
-    _check_basis(model, basis)
-    dim = basis.dimension
-    if obs.kind == "density":
-        return SparseIntMatrix(
-            dim, {(i, i): bin(s).count("1") for i, s in enumerate(basis.states)}
-        )
-    packed = fold_word(_observable_word(obs, model), model)
-    entries: dict = {}
-    if packed is not None:
-        S, O, I = packed
-        index = basis.index
-        for i, s in enumerate(basis.states):
-            if s & S == I:
-                j = index.get(s & ~S | O)
-                if j is not None:  # None: image outside the subspace, projected away
-                    entries[(j, i)] = 1
-    return SparseIntMatrix(dim, entries)
+    return _singletons(model, basis).observable(obs)
 
 
 def parity_matrix(basis: BlockadeBasis) -> SparseIntMatrix:
@@ -366,31 +404,9 @@ def _orbit(occupation: int, model: ModelSpec) -> set[int]:
     return images
 
 
-@dataclass(frozen=True)
-class _OrbitSector:
-    """The orbits of one lattice's basis states and the integer drive on
-    their unnormalised sums (see `orbit_sector`)."""
-
-    basis: BlockadeBasis
-    orbit_of: dict  # state -> orbit number
-    sizes: list  # n_r, the number of states in orbit r
-    drive: SparseIntMatrix
-
-    def observable(self, obs: ObservableSpec) -> SparseIntMatrix:
-        """O(r', r): the entries of `observable_matrix` summed over each pair
-        of orbits."""
-        orbit_of, states = self.orbit_of, self.basis.states
-        sums: dict = {}
-        for (i, j), v in observable_matrix(self.basis.model, self.basis, obs).entries.items():
-            key = (orbit_of[states[i]], orbit_of[states[j]])
-            sums[key] = sums.get(key, 0) + v
-        return SparseIntMatrix(len(self.sizes), sums)
-
-
 def _orbit_walk(model: ModelSpec) -> _OrbitSector:
-    """The orbits of `orbit_sector` and its integer drive, checked for
-    symmetry.  Orbit r is numbered by its first state in basis order, so the
-    vacuum is orbit 0 and alone in it."""
+    """The orbits of `orbit_sector`.  Orbit r is numbered by its first state
+    in basis order, so the vacuum is orbit 0 and alone in it."""
     basis = build_basis(model)
     orbit_of: dict = {}
     firsts, sizes = [], []
@@ -401,16 +417,7 @@ def _orbit_walk(model: ModelSpec) -> _OrbitSector:
                 orbit_of[t] = len(firsts)
             firsts.append(s)
             sizes.append(len(members))
-    masks = model.neighborhood_masks
-    drive: dict = {}
-    for r, s in enumerate(firsts):
-        for t in _flip_neighbours(s, masks):
-            key = (r, orbit_of[t])
-            drive[key] = drive.get(key, 0) + 1
-    for (r, c), v in drive.items():
-        if sizes[r] * v != sizes[c] * drive.get((c, r), 0):
-            raise ValueError(f"drive of {model} is not symmetric between orbits {r} and {c}")
-    return _OrbitSector(basis, orbit_of, sizes, SparseIntMatrix(len(firsts), drive))
+    return _OrbitSector(basis, orbit_of, tuple(firsts), sizes)
 
 
 def orbit_sector(
@@ -434,9 +441,10 @@ def orbit_sector(
     either side, n_r' A(r', r) = n_r A(r, r').  The oracle's bra H^m e0
     relies on that symmetry, and so does `np.linalg.eigh`, which
     `dynamics.evolve` runs on the normalised sector drive
-    A(r', r) sqrt(n_r' / n_r) (amplitudes c_r sqrt(n_r)), so it is checked
-    here in integers and a `ValueError` is raised when it fails.  Nothing is
-    cached: the basis of a large oracle lattice is freed on return.
+    A(r', r) sqrt(n_r' / n_r) (amplitudes c_r sqrt(n_r)), so the drive
+    builder checks it in integers and raises a `ValueError` when it fails.
+    Nothing is cached: the basis of a large oracle lattice is freed on
+    return.
     """
     sector = _orbit_walk(model)
-    return sector.drive, sector.observable(obs)
+    return sector.drive(), sector.observable(obs)

@@ -166,6 +166,8 @@ def cmd_simulate(args) -> int:
         sub.topology = topo.strip()
         models.append((sub.topology, _model_from(sub)))
     if args.overlay_universal:  # refused, if at all, before any evolution
+        if args.observable != "density":
+            raise ValueError(f"--overlay-universal needs --observable density, not {args.observable}")
         lam, jmax = args.lambda_b, args.jmax
         if jmax is None:
             jmax = universality_threshold(ring(args.L, lam), density())
@@ -182,8 +184,9 @@ def cmd_simulate(args) -> int:
         elif args.observable == "correlation":
             res = evolve(model, correlation(args.d), times)
         else:  # g2
-            # non-positive times are dropped; a NaN time is kept, for g2 to refuse
-            res = g2(model, args.d, [t for t in times if not t <= 0])
+            # t = 0, where the default grid starts, is dropped; g2 refuses
+            # any other time that is not positive
+            res = g2(model, args.d, [t for t in times if t != 0])
             times = res.times
         columns.append((f"{args.observable}_{topo}", res.values))
     if args.overlay_universal:
@@ -210,6 +213,9 @@ def _time_grid(args) -> list[float]:
     if n < 1:
         raise ValueError("--t-steps must be at least 1")
     start, stop = args.t_start, args.t_stop
+    for flag, value in (("--t-start", start), ("--t-stop", stop)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if n == 1:
         return [start]
     step = (stop - start) / (n - 1)

@@ -6,15 +6,16 @@ rotation on a ring), so the evolution runs on the orbit sums of
 `basis.orbit_sector`: 49 states instead of 843 on a 14-site ring, 209
 instead of 5,778 on 18 sites.  On the normalised orbit sums the drive is
 the real symmetric matrix A(r', r) sqrt(n_r' / n_r), with n_r the orbit
-size, and one dense eigendecomposition of it per lattice serves every
-observable and time.  The eigenvectors are real, so the states of a whole
-block of time points come from one real matrix product against the cosines
-and sines of the phases, and the evolved expectation of a self-adjoint
-observable is real to machine precision.  The dimension budget counts the
-full blockade dimension; requests beyond it or the oracle's work budget are
-refused from the closed-form dimension, before any basis is built.  Only the
-spectral diagnostics, which need the whole spectrum, diagonalise the full
-blockade space.
+size, and one dense eigendecomposition of it per lattice (cached) serves
+every observable and time.  The eigenvectors are real, so the states of a
+whole block of time points come from one real matrix product against the
+cosines and sines of the phases, and the evolved expectation of a
+self-adjoint observable is real to machine precision.  The dimension budget
+counts the full blockade dimension; requests beyond it or the oracle's work
+budget are refused from the closed-form dimension, before any basis is
+built.  The spectral diagnostics need the whole spectrum, so they
+diagonalise the full blockade space, uncached.  It is the sector of the
+trivial group, every n_r = 1, and goes through the same eigensolve.
 
 The Taylor oracle is the package's independent route to the series
 coefficients: powers of the drive matrix applied to the initial vector are
@@ -93,13 +94,15 @@ _BLOCK_POINTS = 128  # time points per product: memory stays O(dimension x block
 
 
 class DimensionBudgetError(ValueError):
-    """Raised instead of attempting an over-budget dense computation."""
+    """Raised instead of attempting an over-budget dense computation.
+    ``dimension`` is the size that went over ``budget``: the blockade
+    dimension, or the oracle's work when ``measure`` names it."""
 
-    def __init__(self, dimension: int, budget: int, what: str):
+    def __init__(self, dimension: int, budget: int, what: str, measure: str = "dimension"):
         self.dimension = dimension
         self.budget = budget
         super().__init__(
-            f"{what} needs dimension {dimension}, over the budget of {budget}"
+            f"{what} needs {measure} {dimension}, over the budget of {budget}"
         )
 
 
@@ -139,54 +142,40 @@ def _check_dense_budget(model: ModelSpec) -> None:
         )
 
 
-@lru_cache(maxsize=4)
-def _eigensystem(model: ModelSpec):
-    """Basis, integer drive and dense symmetric eigendecomposition of the
-    drive over the whole blockade space, cached per model, for the spectral
-    diagnostics; over-budget lattices are refused before the basis is
-    built, and a drive that is not exactly symmetric before `eigh` (which
-    reads one triangle)."""
-    _check_dense_budget(model)
-    basis = build_basis(model)
-    drive = hamiltonian_matrix(model, basis)
-    if not drive.is_symmetric():
-        raise ValueError(f"drive of {model} is not symmetric")
-    energies, vectors = np.linalg.eigh(drive.to_dense(float))
-    return basis, drive, energies, vectors
+def _diagonalise(drive: SparseIntMatrix, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Dense symmetric eigendecomposition of an orbit drive on the
+    normalised orbit sums |r> / sqrt(n_r), where it is
+    A(r', r) sqrt(n_r' / n_r) = n_r' A(r', r) / sqrt(n_r' n_r).  The drive
+    builder has checked that the integer edge count n_r' A(r', r) is
+    symmetric, so the float matrix is exactly symmetric as well, as
+    `np.linalg.eigh` (which reads one triangle) needs.  On the full space
+    every n_r is 1 and this is the integer drive itself."""
+    dense = np.zeros((len(sizes), len(sizes)))
+    for (r, c), v in drive.entries.items():
+        dense[r, c] = sizes[r] * v / math.sqrt(sizes[r] * sizes[c])
+    return np.linalg.eigh(dense)
 
 
 @lru_cache(maxsize=4)
 def _sector_eigensystem(model: ModelSpec):
-    """Orbit sector and dense symmetric eigendecomposition of its normalised
-    drive, cached per model.
-
-    On the normalised orbit sums |r> / sqrt(n_r) the drive is
-    A(r', r) sqrt(n_r' / n_r) = n_r' A(r', r) / sqrt(n_r' n_r).  The orbit
-    walk has checked that the integer edge count n_r' A(r', r) is symmetric,
-    so the float matrix is exactly symmetric as well.  Refused like the full
-    space, from the closed-form full dimension, before the basis is built.
-    """
+    """Orbit sector and the eigendecomposition of its normalised drive,
+    cached per model; refused from the closed-form full dimension before
+    the basis is built."""
     _check_dense_budget(model)
     sector = _orbit_walk(model)
-    n = sector.sizes
-    drive = np.zeros((len(n), len(n)))
-    for (r, c), v in sector.drive.entries.items():
-        drive[r, c] = n[r] * v / math.sqrt(n[r] * n[c])
-    energies, vectors = np.linalg.eigh(drive)
-    return sector, energies, vectors
+    return sector, *_diagonalise(sector.drive(), sector.sizes)
 
 
-def _coordinates(matrix: SparseIntMatrix, sizes=None):
-    """Rows, columns and float values of the entries of ``matrix``.  Given
-    orbit ``sizes``, each orbit-summed entry O(r', r) is divided by
-    sqrt(n_r' n_r), which makes it act on normalised orbit amplitudes."""
+def _coordinates(matrix: SparseIntMatrix, sizes):
+    """Rows, columns and float values of the entries of ``matrix``, each
+    orbit-summed entry O(r', r) divided by sqrt(n_r' n_r), which makes it
+    act on normalised orbit amplitudes."""
     coo = np.array(
         [(r, c, v) for (r, c), v in matrix.entries.items()], dtype=np.int64
     ).reshape(-1, 3)
     rows, cols, vals = coo[:, 0], coo[:, 1], coo[:, 2].astype(float)
-    if sizes is not None:
-        n = np.asarray(sizes, dtype=np.int64)
-        vals /= np.sqrt(n[rows] * n[cols])
+    n = np.asarray(sizes, dtype=np.int64)
+    vals /= np.sqrt(n[rows] * n[cols])
     return rows, cols, vals
 
 
@@ -287,9 +276,11 @@ def taylor_oracle(model: ModelSpec, obs: ObservableSpec, jmax: int) -> TaylorOra
     if jmax < 1:
         raise ValueError(f"jmax must be at least 1, not {jmax}")
     max_ad = 2 * jmax
-    work = max_ad * blockade_dimension(model)
+    dimension = blockade_dimension(model)
+    work = max_ad * dimension
     if work > ORACLE_WORK_BUDGET:
-        raise DimensionBudgetError(work, ORACLE_WORK_BUDGET, "integer Taylor oracle")
+        what = f"integer Taylor oracle (ad order {max_ad} x dimension {dimension})"
+        raise DimensionBudgetError(work, ORACLE_WORK_BUDGET, what, "work")
     fold_word(_observable_word(obs, model), model)
     drive, matrix = orbit_sector(model, obs)
     vs = [[1] + [0] * (drive.dimension - 1)]  # the vacuum is orbit 0
@@ -376,9 +367,20 @@ class SpectralReport:
 
 
 def spectral_checks(model: ModelSpec, sample_times=(0.3, 1.1, 2.7)) -> SpectralReport:
-    """Collect the parity/spectral witnesses for one lattice."""
-    basis, drive, energies, vectors = _eigensystem(model)
+    """Collect the parity/spectral witnesses for one lattice.
+
+    They need the whole spectrum, so the drive is diagonalised on the full
+    blockade space, the orbit sector of the trivial group.  Nothing is
+    cached: each caller asks once per lattice.  Over-budget lattices are
+    refused before the basis is built, and a drive that is not symmetric
+    before `eigh`.
+    """
+    _check_dense_budget(model)
+    basis = build_basis(model)
+    drive = hamiltonian_matrix(model, basis)
     dim = basis.dimension
+    ones = [1] * dim  # the full space: every orbit is one state
+    energies, vectors = _diagonalise(drive, ones)
     asym = float(np.max(np.abs(energies + energies[::-1])))
 
     parity = parity_matrix(basis)
@@ -396,7 +398,7 @@ def spectral_checks(model: ModelSpec, sample_times=(0.3, 1.1, 2.7)) -> SpectralR
 
     signed = [sign * float(t) for t in sample_times for sign in (1.0, -1.0)]
     n2, re, _ = _expectations(
-        energies, vectors, _coordinates(observable_matrix(model, basis, density())), signed
+        energies, vectors, _coordinates(observable_matrix(model, basis, density()), ones), signed
     )
     norm_defect = float(np.max(np.abs(n2 - 1.0), initial=0.0))
     rho = re / model.size

@@ -90,34 +90,7 @@ PAIR_D3 = [_frac(x) for x in ("0", "1", "-2", "61/30", "-2393/1680")]
 DEFICITS = [_frac(x) for x in ("0", "2/3", "38/27", "518/243", "76016/27207")]
 
 ORACLE_JMAX = {1: 5, 2: 4}  # symbolic-vs-oracle comparison depth per blockade range
-
-
-# ---------------------------------------------------------------------------
-# shared heavy artifacts
-# ---------------------------------------------------------------------------
-
-_CACHE: dict = {}
-
-
-def _ring18_oracle():
-    if "oracle18" not in _CACHE:
-        _CACHE["oracle18"] = taylor_oracle(ring(18), density(), 17)
-    return _CACHE["oracle18"]
-
-
-def _ring18_curve():
-    if "curve18" not in _CACHE:
-        times = [round(0.02 * i, 10) for i in range(101)]  # 0 .. 2
-        _CACHE["curve18"] = evolve(ring(18), density(), times)
-    return _CACHE["curve18"]
-
-
-def _window_pair(L_a: int, L_b: int, epsilon: float = 1e-3):
-    key = ("window", L_a, L_b, epsilon)
-    if key not in _CACHE:
-        times = [round(0.05 * i, 10) for i in range(161)]  # 0 .. 8
-        _CACHE[key] = universal_window(ring(L_a), ring(L_b), times, epsilon)
-    return _CACHE[key]
+RING18_TIMES = [round(0.02 * i, 10) for i in range(101)]  # 0 .. 2, criteria 5 and 7
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +462,7 @@ def _criterion_4(quick: bool) -> list[CheckResult]:
 def _criterion_5(quick: bool) -> list[CheckResult]:
     out = []
     t0 = time.time()
-    orc = _ring18_oracle()
+    orc = taylor_oracle(ring(18), density(), 17)
     out.append(
         CheckResult(
             "C5",
@@ -510,7 +483,7 @@ def _criterion_5(quick: bool) -> list[CheckResult]:
         )
         return out
 
-    curve = _ring18_curve()
+    curve = evolve(ring(18), density(), RING18_TIMES)
     devs = [
         abs(eval_even_series(orc.coefficients, t) - v)
         for t, v in zip(curve.times, curve.values)
@@ -542,8 +515,9 @@ def _criterion_5(quick: bool) -> list[CheckResult]:
         )
     )
 
-    w_small = _window_pair(10, 12)
-    w_large = _window_pair(16, 18)
+    times = [round(0.05 * i, 10) for i in range(161)]  # 0 .. 8
+    w_small = universal_window(ring(10), ring(12), times, 1e-3)
+    w_large = universal_window(ring(16), ring(18), times, 1e-3)
     out.append(
         CheckResult(
             "C5",
@@ -637,7 +611,7 @@ def _collect_exact_coefficients() -> list[tuple[str, int, int, int, Fraction]]:
         sets.extend(("word", j, 1, d + 1, c) for j, c in enumerate(coeffs, 1))
     sets.extend(
         ("density", j, 1, 1, c)
-        for j, c in enumerate(_ring18_oracle().coefficients, 1)
+        for j, c in enumerate(taylor_oracle(ring(18), density(), 17).coefficients, 1)
     )
     for lam, jmax in ORACLE_JMAX.items():
         for L in (3, 6, 10):
@@ -726,8 +700,8 @@ def _criterion_7(quick: bool) -> list[CheckResult]:
     # certificate is tighter than that floor the assertion is that the
     # measurement sits at the floor.
     noise_floor = 1e-10
-    orc = _ring18_oracle()
-    curve = _ring18_curve()
+    orc = taylor_oracle(ring(18), density(), 17)
+    curve = evolve(ring(18), density(), RING18_TIMES)
     certified = at_floor = 0
     ok = True
     for t, v in zip(curve.times, curve.values):

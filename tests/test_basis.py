@@ -23,7 +23,7 @@ from blockade.basis import (
     parity_matrix,
     total_number_matrix_recursive,
 )
-from blockade.dynamics import _eigensystem, _sector_eigensystem, evolve, spectral_checks
+from blockade.dynamics import _sector_eigensystem, evolve, spectral_checks
 from blockade.series import correlation, density, general_word, local_number
 from blockade.words import (
     LOWER,
@@ -162,6 +162,22 @@ class TestEnumeration:
         assert peak < 2**20
 
 
+def placed_observables(model):
+    """Observables of every kind that fit ``model``: the density, end and
+    middle site counters, pair counters inside and outside the blockade, and
+    words that raise, lower, leave the subspace (neighbouring raises) or, on
+    a ring, fold to zero (n and m on one site) or wrap past the seam."""
+    L = model.size
+    out = [density(), local_number(1), local_number(L), local_number((L + 1) // 2)]
+    out += [correlation(d, site=1) for d in range(1, min(L - 1, 4) + 1)]
+    words = [{1: RAISE}, {L: LOWER}, {1: RAISE, 2: RAISE}, {1: LOWER, 3: RAISE}, {2: NUM, 4: PROJ}]
+    if model.topology == "ring":
+        words += [{1: NUM, L + 1: PROJ}, {L: RAISE, L + 2: NUM}, {2: RAISE, L + 2: LOWER}]
+    span = 2 * L if model.topology == "ring" else L
+    out += [general_word(make_word(w)) for w in words if max(w) <= span]
+    return out
+
+
 class TestOrbitSector:
     @pytest.mark.parametrize(
         "model, dim", [(ring(18), 209), (ring(20), 455), (ring(24, 2), 249), (line(16), 1309)]
@@ -195,11 +211,29 @@ class TestOrbitSector:
         # `evolve` (through the orbit walk) and `spectral_checks` (full space)
         # refuse before `eigh`, which reads one triangle
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        _eigensystem.cache_clear()  # so the drives are really rebuilt
-        _sector_eigensystem.cache_clear()
+        _sector_eigensystem.cache_clear()  # so the drive is really rebuilt
         for route in (lambda: evolve(model, density(), [0.5]), lambda: spectral_checks(model)):
             with pytest.raises(ValueError, match=re.escape(f"drive of {model} is not symmetric")):
                 route()
+
+    @pytest.mark.parametrize("topology", ["ring", "line"])
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_one_pass_observable_equals_orbit_pair_sums(self, topology, lam):
+        # the two-pass reference: the full-space matrix, summed over each
+        # pair of orbits, entry for entry and in the same insertion order
+        sizes = range(lam + 1 if topology == "ring" else 1, 15)
+        for L in sizes:
+            model = ring(L, lam) if topology == "ring" else line(L, lam)
+            sector = blockade.basis._orbit_walk(model)
+            states, orbit_of = sector.basis.states, sector.orbit_of
+            for obs in placed_observables(model):
+                want: dict = {}
+                for (i, j), v in observable_matrix(model, sector.basis, obs).entries.items():
+                    key = (orbit_of[states[i]], orbit_of[states[j]])
+                    want[key] = want.get(key, 0) + v
+                got = sector.observable(obs)
+                assert got.dimension == len(sector.sizes)
+                assert list(got.entries.items()) == list(want.items()), (model, obs)
 
     def test_vacuum_is_orbit_zero(self):
         # the vacuum's L drive neighbours are the single excitations

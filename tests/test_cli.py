@@ -165,6 +165,14 @@ class TestSimulate:
         rows = csv_rows(out)
         assert all(float(r["t"]) > 0 for r in rows)  # zero time dropped
 
+    def test_g2_default_grid(self, capsys):
+        # the default grid starts at t = 0; only that point is dropped
+        rc, out = run_cli(
+            capsys, "simulate", "--L", "8", "--t-steps", "5", "--observable", "g2", "--d", "2"
+        )
+        assert rc == 0
+        assert [r["t"] for r in csv_rows(out)] == ["0.5", "1.0", "1.5", "2.0"]
+
 
 class TestBounds:
     def test_kappa_table(self, capsys):
@@ -273,7 +281,10 @@ class TestRefusals:
             capsys, "simulate", "--topology", "ring", "--L", "6", "--t-steps", "2",
             "--overlay-universal", "--jmax", "22",
         )
-        assert "integer Taylor oracle" in msg
+        assert msg == (
+            "blockade: error: integer Taylor oracle (ad order 44 x dimension 64079) "
+            "needs work 2819476, over the budget of 2000000"
+        )
 
     def test_symbolic_order_budget(self, capsys):
         msg = self.refused(capsys, "coeffs", "--topology", "infinite", "--jmax", "7")
@@ -340,21 +351,40 @@ class TestRefusals:
             ),
             (
                 ("simulate", "--topology", "ring", "--L", "8", "--t-stop", "nan", "--t-steps", "3"),
-                "times must be finite, got nan",
+                "--t-stop must be finite, got nan",
             ),
             (
                 ("simulate", "--L", "8", "--t-stop", "nan", "--t-steps", "3", "--observable", "g2", "--d", "2"),
-                "times must be finite, got nan",
+                "--t-stop must be finite, got nan",
             ),
             (
                 ("simulate", "--L", "8", "--t-stop", "inf", "--t-steps", "3", "--window-vs", "10"),
-                "times must be finite, got nan",
+                "--t-stop must be finite, got inf",
+            ),
+            (
+                ("simulate", "--L", "8", "--t-start=-inf", "--t-steps", "1"),
+                "--t-start must be finite, got -inf",
+            ),
+            (
+                ("bounds", "--table", "envelope", "--L", "18", "--t-start", "inf"),
+                "--t-start must be finite, got inf",
+            ),
+            (
+                ("simulate", "--L", "8", "--t-start", "-1", "--t-stop", "1", "--t-steps", "5",
+                 "--observable", "g2", "--d", "2"),
+                "pair correlations need strictly positive times",
+            ),
+            (
+                ("simulate", "--L", "8", "--t-steps", "3", "--observable", "g2", "--d", "2",
+                 "--overlay-universal"),
+                "--overlay-universal needs --observable density, not g2",
             ),
         ],
         ids=[
             "topology", "L", "d", "emit-q", "t-steps", "overlay-jmax", "oracle-infinite",
             "evolve-infinite", "envelope-L", "correlation-d0", "g2-d0", "coeffs-jmax0",
-            "t-stop-nan", "g2-t-stop-nan", "window-t-stop-inf",
+            "t-stop-nan", "g2-t-stop-nan", "window-t-stop-inf", "one-point-t-start-inf",
+            "envelope-t-start-inf", "g2-negative-time", "overlay-g2",
         ],
     )
     def test_flag_refusals(self, capsys, argv, want):

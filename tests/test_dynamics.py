@@ -41,17 +41,14 @@ from blockade.words import RAISE, Letter, line, make_word, ring
 
 
 def cache_sizes():
-    """Sizes of the full-space and the sector eigensystem caches."""
-    return (
-        dynamics._eigensystem.cache_info().currsize,
-        dynamics._sector_eigensystem.cache_info().currsize,
-    )
+    """Size of the sector eigensystem cache, the only one."""
+    return dynamics._sector_eigensystem.cache_info().currsize
 
 
 @pytest.fixture
 def cache_size(monkeypatch):
     """Make any basis, state enumeration, orbit walk or orbit sector fail;
-    return both eigensystem cache sizes before."""
+    return the eigensystem cache size before."""
 
     def refuse(*args):
         raise AssertionError(f"built {args} before refusing")
