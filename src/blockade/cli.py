@@ -148,6 +148,13 @@ def cmd_coeffs(args) -> int:
 def cmd_simulate(args) -> int:
     times = _time_grid(args)
     if args.window_vs is not None:
+        # the window is one CSV row comparing densities; refuse what it would ignore
+        if args.format == "json":
+            raise ValueError("--window-vs prints a CSV table, not --format json")
+        if args.observable != "density":
+            raise ValueError(f"--window-vs compares densities, not --observable {args.observable}")
+        if args.overlay_universal:
+            raise ValueError("--window-vs takes no --overlay-universal")
         model_a = _model_from(args)
         args_b = argparse.Namespace(**vars(args))
         args_b.L = args.window_vs

@@ -9,7 +9,8 @@ the real symmetric matrix A(r', r) sqrt(n_r' / n_r), with n_r the orbit
 size, and one dense eigendecomposition of it per lattice (cached) serves
 every observable and time.  The eigenvectors are real, so the states of a
 whole block of time points come from one real matrix product against the
-cosines and sines of the phases, and the evolved expectation of a
+cosines and sines of the phases, every observable of a call is read from
+those states (one propagation), and the evolved expectation of a
 self-adjoint observable is real to machine precision.  The dimension budget
 counts the full blockade dimension; requests beyond it or the oracle's work
 budget are refused from the closed-form dimension, before any basis is
@@ -64,7 +65,6 @@ from .series import (
     correlation_base_site,
     density,
     local_number,
-    pair_blockaded,
 )
 from .words import ModelSpec, fold_word
 
@@ -179,30 +179,32 @@ def _coordinates(matrix: SparseIntMatrix, sizes):
     return rows, cols, vals
 
 
-def _expectations(energies, vectors, observable, times):
+def _expectations(energies, vectors, observables, times):
     """Squared norms and the real and imaginary parts of <psi(t)|O|psi(t)>,
-    psi(t) = exp(-iHt)|vacuum>, for every t in ``times``.
+    psi(t) = exp(-iHt)|vacuum>, for every t in ``times`` and every O in
+    ``observables`` (one row of each part per observable).
 
     With real eigenvectors V and vacuum overlaps w (the vacuum is the first
     coordinate), psi(t) = R - iI where R = V (cos(Et) w) and
     I = V (sin(Et) w); one product of V with the stacked cosine and sine
-    columns gives both for a block of time points.  O acts through its
-    coordinate entries ``observable = (rows, cols, vals)``, so the
-    expectation is a weighted sum of amplitude products gathered at
-    (row, column) pairs.
+    columns gives both for a block of time points, and every observable is
+    read from those states.  O acts through its coordinate entries
+    ``(rows, cols, vals)``, so the expectation is a weighted sum of
+    amplitude products gathered at (row, column) pairs.
     """
-    rows, cols, vals = observable
     weights = vectors[0, :][:, None]
     times = np.asarray(times, dtype=float)
-    n2, re, im = (np.empty(times.size) for _ in range(3))
+    n2 = np.empty(times.size)
+    re, im = (np.empty((len(observables), times.size)) for _ in range(2))
     for start in range(0, times.size, _BLOCK_POINTS):
         block = slice(start, start + _BLOCK_POINTS)
         phases = np.outer(energies, times[block])
         states = vectors @ np.hstack((np.cos(phases) * weights, np.sin(phases) * weights))
         real, imag = np.hsplit(states, 2)
         n2[block] = np.einsum("ij,ij->j", real, real) + np.einsum("ij,ij->j", imag, imag)
-        re[block] = vals @ (real[rows] * real[cols] + imag[rows] * imag[cols])
-        im[block] = vals @ (imag[rows] * real[cols] - real[rows] * imag[cols])
+        for o, (rows, cols, vals) in enumerate(observables):
+            re[o, block] = vals @ (real[rows] * real[cols] + imag[rows] * imag[cols])
+            im[o, block] = vals @ (imag[rows] * real[cols] - real[rows] * imag[cols])
     return n2, re, im
 
 
@@ -215,38 +217,48 @@ def _finite_times(times) -> list[float]:
     return times
 
 
-def evolve(model: ModelSpec, obs: ObservableSpec, times) -> EvolutionResult:
-    """Exact expectation of ``obs`` along ``times``, vacuum initial state.
+def _evolved(model: ModelSpec, observables: list[ObservableSpec], times):
+    """The time grid as floats and the exact expectation of each of
+    ``observables`` along it, vacuum initial state, from one propagation.
 
     Runs in the orbit sector: one eigendecomposition of the normalised
-    sector drive per model (cached), and ``obs`` summed over pairs of orbits
-    and weighted by 1 / sqrt(n_r' n_r).  The squared norm of the normalised
-    sector amplitudes is the full-space norm, and the expectation is the
-    full-space one.  The states of all non-zero time points come from real
-    matrix products, one per block of ``_BLOCK_POINTS`` points, and t = 0 is
-    the exact vacuum element (the vacuum is orbit 0, alone).  The evolved
-    state's norm is checked to 1e-12 and the expectation's imaginary residue
-    to 1e-10 at every point; both are guaranteed by symmetry, so a violation
-    (NaN included) raises instead of being hidden.  Non-finite times and an
-    observable that does not fit the lattice are refused before the
-    eigensystem is built.
+    sector drive per model (cached), and each observable summed over pairs
+    of orbits and weighted by 1 / sqrt(n_r' n_r), so the norm and every
+    expectation are the full-space ones.  The states of all non-zero time
+    points come from one real matrix product per block of ``_BLOCK_POINTS``
+    points and serve every observable; t = 0 is the exact vacuum element
+    (the vacuum is orbit 0, alone).  The norm is checked to 1e-12 at every
+    point and each imaginary residue to 1e-10; both are guaranteed by
+    symmetry, so a violation (NaN included) raises instead of being hidden.
+    Non-finite times and an observable that does not fit the lattice are
+    refused before the eigensystem is built.
     """
     times = _finite_times(times)
-    fold_word(_observable_word(obs, model), model)
+    for obs in observables:
+        fold_word(_observable_word(obs, model), model)
     sector, energies, vectors = _sector_eigensystem(model)
-    matrix = sector.observable(obs)
-    norm = 1.0 / model.size if obs.kind == "density" else 1.0
-    values = [matrix.entries.get((0, 0), 0) * norm] * len(times)  # vacuum element, exact
+    matrices = [sector.observable(obs) for obs in observables]
+    norms = [1.0 / model.size if obs.kind == "density" else 1.0 for obs in observables]
+    values = [[m.entries.get((0, 0), 0) * n] * len(times) for m, n in zip(matrices, norms)]
     later = [i for i, t in enumerate(times) if t != 0.0]
-    n2, re, im = _expectations(
-        energies, vectors, _coordinates(matrix, sector.sizes), [times[i] for i in later]
-    )
-    for i, sq, real, imag in zip(later, n2, re, im):
-        if not abs(sq - 1.0) <= _NORM_TOL * 10:
-            raise ArithmeticError(f"evolved-state norm defect {abs(sq - 1.0):.2e}")
-        if not abs(imag) <= _IMAG_TOL:
-            raise ArithmeticError(f"imaginary residue {imag:.2e} at t={times[i]}")
-        values[i] = float(real) * norm
+    coordinates = [_coordinates(matrix, sector.sizes) for matrix in matrices]
+    n2, re, im = _expectations(energies, vectors, coordinates, [times[i] for i in later])
+    bad = ~(np.abs(n2 - 1.0) <= _NORM_TOL * 10) | ~np.all(np.abs(im) <= _IMAG_TOL, axis=0)
+    for j in np.flatnonzero(bad)[:1]:  # the first failing point: its norm, then each residue
+        if not abs(n2[j] - 1.0) <= _NORM_TOL * 10:
+            raise ArithmeticError(f"evolved-state norm defect {abs(n2[j] - 1.0):.2e}")
+        imag = im[~(np.abs(im[:, j]) <= _IMAG_TOL), j][0]
+        raise ArithmeticError(f"imaginary residue {imag:.2e} at t={times[later[j]]}")
+    for out, row, norm in zip(values, re.tolist(), norms):
+        for i, real in zip(later, row):
+            out[i] = real * norm
+    return times, values
+
+
+def evolve(model: ModelSpec, obs: ObservableSpec, times) -> EvolutionResult:
+    """Exact expectation of ``obs`` along ``times``, vacuum initial state:
+    the one-observable case of `_evolved`, refusals included."""
+    times, (values,) = _evolved(model, [obs], times)
     return EvolutionResult(model=model, observable=obs, times=times, values=values)
 
 
@@ -315,38 +327,27 @@ def taylor_oracle(model: ModelSpec, obs: ObservableSpec, jmax: int) -> TaylorOra
 # ---------------------------------------------------------------------------
 
 
-def g2(
-    model: ModelSpec,
-    d: int,
-    times,
-    site: int | None = None,
-) -> EvolutionResult:
+def g2(model: ModelSpec, d: int, times, site: int | None = None) -> EvolutionResult:
     """Normalised pair correlation: <n_k n_{k+d}> / (<n_k> <n_{k+d}>).
 
-    Strictly positive, finite times only (numerator and denominator both
-    vanish at t = 0).  The pair is placed first, so a distance below 1 or a
-    pair that does not fit the lattice is refused; distances inside the
-    blockade range give an identically zero numerator, hence a zero
-    correlation.  Points
-    whose denominator falls below 1e-14 are undefined and reported as NaN.
+    Strictly positive, finite times only (both vanish at t = 0).  The pair
+    and the counters come from one propagation, the pair placed first, so
+    a distance below 1 or a pair that does not fit is refused before the
+    eigensystem is built.  A pair inside the blockade range, or a ring pair
+    a multiple of L apart, has a zero correlation; on a ring n_{k+d} is read
+    as n_k.  Points whose denominator is below 1e-14 are reported as NaN.
     """
     times = _finite_times(times)
     if any(t <= 0 for t in times):
         raise ValueError("pair correlations need strictly positive times")
     pair = correlation(d, site=site)
-    fold_word(_observable_word(pair, model), model)
     k = correlation_base_site(pair, model)
-    if pair_blockaded(model, d):
+    far = [] if model.topology == "ring" else [local_number(k + d)]
+    _, (numerator, *counts) = _evolved(model, [pair, local_number(k), *far], times)
+    if model.topology == "ring" and d % model.size == 0:  # blockaded, as `series` counts it
         numerator = [0.0] * len(times)
-    else:
-        numerator = evolve(model, pair, times).values
-    na = evolve(model, local_number(k), times).values
-    if model.topology == "ring":
-        nb = na
-    else:
-        nb = evolve(model, local_number(k + d), times).values
     values = []
-    for num, a, b in zip(numerator, na, nb):
+    for num, a, b in zip(numerator, counts[0], counts[-1]):
         den = a * b
         values.append(float("nan") if abs(den) < 1e-14 else num / den)
     return EvolutionResult(model=model, observable=pair, times=times, values=values)
@@ -383,22 +384,21 @@ def spectral_checks(model: ModelSpec, sample_times=(0.3, 1.1, 2.7)) -> SpectralR
     energies, vectors = _diagonalise(drive, ones)
     asym = float(np.max(np.abs(energies + energies[::-1])))
 
-    parity = parity_matrix(basis)
-    pdiag = np.array(parity.diagonal(), dtype=float)
-    even_mask = pdiag > 0
+    parity = np.array(parity_matrix(basis).diagonal())
+    even_mask = parity > 0
     nonzero = np.abs(energies) > 1e-8
     even_weight = np.sum(vectors[even_mask, :] ** 2, axis=0)
     weight_defect = (
         float(np.max(np.abs(even_weight[nonzero] - 0.5))) if nonzero.any() else 0.0
     )
 
-    anti = all(
-        pdiag[r] * v + v * pdiag[c] == 0 for (r, c), v in drive.entries.items()
-    )
+    # drive entries are non-zero: P H + H P = 0 when each joins opposite parities
+    rows, cols = np.array(list(drive.entries), dtype=np.int64).reshape(-1, 2).T
+    anti = bool(np.all(parity[rows] == -parity[cols]))
 
     signed = [sign * float(t) for t in sample_times for sign in (1.0, -1.0)]
-    n2, re, _ = _expectations(
-        energies, vectors, _coordinates(observable_matrix(model, basis, density()), ones), signed
+    n2, (re,), _ = _expectations(
+        energies, vectors, [_coordinates(observable_matrix(model, basis, density()), ones)], signed
     )
     norm_defect = float(np.max(np.abs(n2 - 1.0), initial=0.0))
     rho = re / model.size

@@ -9,7 +9,9 @@ the pytest summary; see that test's reason string for the analysis.
 
 import pytest
 
-from blockade import verify
+from blockade import basis, verify
+from blockade.dynamics import spectral_checks
+from blockade.words import ring
 
 
 @pytest.mark.parametrize("number", sorted(verify.CRITERIA))
@@ -49,3 +51,28 @@ def test_criterion(number, capsys):
 def test_high_order_series_tracks_evolution_through_t2():
     checks = [r for r in verify.criterion_checks(5) if r.expected_failure]
     assert checks and all(r.passed for r in checks)
+
+
+def c6_rows() -> dict:
+    return {r.name: r for r in verify.criterion_checks(6)}
+
+
+def test_c6_lists_an_asymmetric_drive(monkeypatch):
+    # raising k also needs k + 2 unexcited: the drive builder refuses it on
+    # every lattice, and C6 lists each refusal instead of stopping
+    def raise_needs_k_plus_2_ground(s, masks):
+        return [
+            s ^ 1 << k for k, m in enumerate(masks) if s >> k & 1 or not s & (m | 1 << k + 2)
+        ]
+
+    monkeypatch.setattr(basis, "_flip_neighbours", raise_needs_k_plus_2_ground)
+    row = c6_rows()["density even in time: the drive is symmetric, exact integers"]
+    assert not row.passed and "ring(4, 1)" in row.details
+
+
+def test_c6_parity_row_sees_a_parity_preserving_coupling(monkeypatch):
+    # every state also coupled to itself: symmetric, but it keeps the parity
+    flips = basis._flip_neighbours
+    monkeypatch.setattr(basis, "_flip_neighbours", lambda s, masks: flips(s, masks) + [s])
+    assert spectral_checks(ring(6)).parity_anticommutes is False
+    assert not c6_rows()["parity anticommutes with the drive, exact integers"].passed

@@ -379,12 +379,29 @@ class TestRefusals:
                  "--overlay-universal"),
                 "--overlay-universal needs --observable density, not g2",
             ),
+            (
+                ("simulate", "--L", "8", "--window-vs", "10", "--format", "json"),
+                "--window-vs prints a CSV table, not --format json",
+            ),
+            (
+                ("simulate", "--L", "8", "--window-vs", "10", "--observable", "g2"),
+                "--window-vs compares densities, not --observable g2",
+            ),
+            (
+                ("simulate", "--L", "8", "--window-vs", "10", "--observable", "correlation"),
+                "--window-vs compares densities, not --observable correlation",
+            ),
+            (
+                ("simulate", "--L", "8", "--window-vs", "10", "--overlay-universal"),
+                "--window-vs takes no --overlay-universal",
+            ),
         ],
         ids=[
             "topology", "L", "d", "emit-q", "t-steps", "overlay-jmax", "oracle-infinite",
             "evolve-infinite", "envelope-L", "correlation-d0", "g2-d0", "coeffs-jmax0",
             "t-stop-nan", "g2-t-stop-nan", "window-t-stop-inf", "one-point-t-start-inf",
-            "envelope-t-start-inf", "g2-negative-time", "overlay-g2",
+            "envelope-t-start-inf", "g2-negative-time", "overlay-g2", "window-json",
+            "window-g2", "window-correlation", "window-overlay",
         ],
     )
     def test_flag_refusals(self, capsys, argv, want):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import statistics
 from fractions import Fraction
 
@@ -29,15 +30,18 @@ from blockade.dynamics import (
     universal_window,
 )
 from blockade.series import (
+    _observable_word,
     correlation,
+    correlation_base_site,
     correlation_coefficients,
     density,
     density_coefficients,
     general_word,
     local_number,
+    pair_blockaded,
     word_coefficients,
 )
-from blockade.words import RAISE, Letter, line, make_word, ring
+from blockade.words import RAISE, Letter, fold_word, line, make_word, ring
 
 
 def cache_sizes():
@@ -147,6 +151,44 @@ def evolution_cases(draw):
     return model, draw_observable(draw, model), times
 
 
+@st.composite
+def g2_cases(draw):
+    """A ring of 3 to 16 sites or a line of up to 14, blockade range up to 3,
+    any distance from 1 to L, the default or an explicit base site, and a
+    few positive times (some small enough for a vanishing denominator)."""
+    lam = draw(st.integers(1, 3))
+    if draw(st.sampled_from(["ring", "line"])) == "ring":
+        L = draw(st.integers(3, 16))
+        assume(lam < L)
+        model = ring(L, lam)
+    else:
+        L = draw(st.integers(1, 14))
+        model = line(L, lam)
+    d = draw(st.integers(1, L))
+    site = draw(st.one_of(st.none(), st.integers(1, L)))
+    times = draw(st.lists(st.floats(1e-5, 8), min_size=1, max_size=4))
+    return model, d, site, times
+
+
+def composed_g2(model, d, times, site=None):
+    """g2 composed from separate evolutions of the pair, n_k and (on a line)
+    n_{k+d}, a blockaded pair read as zero without evolving it: the
+    reference for the single propagation."""
+    pair = correlation(d, site=site)
+    fold_word(_observable_word(pair, model), model)  # placed before the shortcut
+    k = correlation_base_site(pair, model)
+    if pair_blockaded(model, d):
+        numerator = [0.0] * len(times)
+    else:
+        numerator = evolve(model, pair, times).values
+    na = evolve(model, local_number(k), times).values
+    nb = na if model.topology == "ring" else evolve(model, local_number(k + d), times).values
+    return [
+        float("nan") if abs(a * b) < 1e-14 else num / (a * b)
+        for num, a, b in zip(numerator, na, nb)
+    ]
+
+
 class TestEvolve:
     def test_zero_time_is_exactly_zero(self):
         for model in (ring(6), line(7), ring(8, 2)):
@@ -227,8 +269,9 @@ class TestEvolve:
     @pytest.mark.parametrize("column, message", [(0, "norm defect"), (2, "imaginary residue")])
     def test_nan_fails_the_point_checks(self, monkeypatch, column, message):
         # a NaN norm or residue raises; it is not read as within tolerance
-        def poisoned(energies, vectors, observable, times):
-            out = [np.ones(len(times)), np.zeros(len(times)), np.zeros(len(times))]
+        def poisoned(energies, vectors, observables, times):
+            shape = (len(observables), len(times))
+            out = [np.ones(len(times)), np.zeros(shape), np.zeros(shape)]
             out[column][:] = np.nan
             return out
 
@@ -407,6 +450,32 @@ class TestG2:
     def test_open_chain_site_resolved(self):
         vals = g2(line(8), 2, [0.3], site=2).values
         assert math.isfinite(vals[0]) and vals[0] > 0
+
+    @given(g2_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_composed_evolutions_bit_for_bit(self, case):
+        model, d, site, times = case
+        try:
+            want = composed_g2(model, d, times, site)
+        except ValueError as err:  # a pair that does not fit the chain
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                g2(model, d, times, site)
+            return
+        got = g2(model, d, times, site).values
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("model", [ring(10), line(10), line(9, 2)])
+    def test_one_propagation_per_call(self, monkeypatch, model):
+        calls = []
+        propagate = dynamics._expectations
+
+        def counted(*args):
+            calls.append(len(args[2]))  # observables read from the states
+            return propagate(*args)
+
+        monkeypatch.setattr(dynamics, "_expectations", counted)
+        g2(model, 3, [0.5, 1.0, 2.0])
+        assert calls == [2 if model.topology == "ring" else 3]
 
 
 class TestSpectralChecks:
