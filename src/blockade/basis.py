@@ -28,7 +28,10 @@ there.  One builder, `_OrbitSector`, writes both matrices for any grouping:
 the full space is the sector of the trivial group, in which every state is
 its own orbit, so `hamiltonian_matrix` and `observable_matrix` are its
 singleton case and share its drive loop, its observable pass and its
-integer symmetry check.
+integer symmetry check.  A second walk, `_cyclic_walk`, groups the states
+under the cyclic group of one site permutation (the rotation by one site
+on a ring, the reflection on a line) and records where in its orbit each
+state sits; `dynamics.spectral_checks` builds its Bloch blocks from it.
 
 States are stored as occupation bitsets (bit k-1 set means site k excited,
 so the printed string for the integer 5 on four sites is 1010).  Operator
@@ -248,6 +251,10 @@ class _OrbitSector:
     orbit_of: dict  # state -> orbit number
     firsts: tuple  # the first state of each orbit, in basis order
     sizes: list  # n_r, the number of states in orbit r
+    # cyclic groups only (`_cyclic_walk`): the group order m, and for each
+    # state the power l with state = g^l(first state of its orbit)
+    order: int | None = None
+    power: dict | None = None
 
     def drive(self) -> SparseIntMatrix:
         """A(r', r), the drive neighbours that the first state of orbit r'
@@ -264,6 +271,43 @@ class _OrbitSector:
                     f"drive of {self.basis.model} is not symmetric between orbits {r} and {c}"
                 )
         return SparseIntMatrix(len(sizes), drive)
+
+    def bloch_edges(self) -> dict:
+        """(r, r', l) -> how many drive flips of the first state of orbit r
+        land on g^l(first state of r'), in a sector of `_cyclic_walk`.
+
+        Blocks built from these edges stand for the drive only if it
+        commutes with g and is symmetric.  The orbit counts of `drive` do
+        not see a drive that breaks g, so both are checked here, in
+        integers, on every basis state: each state of orbit r, its flips
+        read from its own power, has the flips of the first state of r; and
+        each edge (r, r', l) comes back from r' as (r', r, -l mod n_r) as
+        many times as it goes out.
+        """
+        model, orbit_of, power, sizes = self.basis.model, self.orbit_of, self.power, self.sizes
+        masks = model.neighborhood_masks
+        edges: list = []  # per orbit, the sorted (r', l) of its first state's flips
+        for s in self.basis.states:  # the first state of an orbit comes first
+            l = power[s]
+            seen = sorted(
+                (orbit_of[t], (power[t] - l) % sizes[orbit_of[t]])
+                for t in _flip_neighbours(s, masks)
+            )
+            if not l:
+                edges.append(seen)
+            elif seen != edges[orbit_of[s]]:
+                raise ValueError(
+                    f"drive of {model} is not symmetric under its lattice permutation "
+                    f"at state {self.basis.state_string(s)}"
+                )
+        counts: dict = {}
+        for r, seen in enumerate(edges):
+            for c, l in seen:
+                counts[r, c, l] = counts.get((r, c, l), 0) + 1
+        for (r, c, l), v in counts.items():
+            if counts.get((c, r, -l % sizes[r])) != v:
+                raise ValueError(f"drive of {model} is not symmetric between orbits {r} and {c}")
+        return counts
 
     def observable(self, obs: ObservableSpec) -> SparseIntMatrix:
         """O(r', r), the full-space entries of ``obs`` summed over each pair
@@ -418,6 +462,40 @@ def _orbit_walk(model: ModelSpec) -> _OrbitSector:
             firsts.append(s)
             sizes.append(len(members))
     return _OrbitSector(basis, orbit_of, tuple(firsts), sizes)
+
+
+def _generator(model: ModelSpec) -> tuple[tuple[int, ...], int]:
+    """The site permutation g (bit k goes to bit g[k]) that generates the
+    cyclic symmetry group of `_cyclic_walk`, and its order m: the rotation
+    by one site on a ring (m = L), the site reflection on a line (m = 2)."""
+    L = model.size
+    if model.topology == "ring":
+        return tuple((k + 1) % L for k in range(L)), L
+    return tuple(L - 1 - k for k in range(L)), 2
+
+
+def _cyclic_walk(model: ModelSpec) -> _OrbitSector:
+    """The basis states grouped into orbits of the cyclic group generated by
+    one site permutation g (`_generator`), in one walk of the basis.  Each
+    orbit is numbered by its first state in basis order, so the vacuum is
+    orbit 0 and alone in it, and each state records the power l with
+    state = g^l(first state of its orbit), 0 <= l < n_r.  The orbits of
+    each character of g give `dynamics.spectral_checks` its Bloch blocks."""
+    basis = build_basis(model)
+    perm, order = _generator(model)
+    orbit_of: dict = {}
+    power: dict = {}
+    firsts, sizes = [], []
+    for s in basis.states:
+        if s in orbit_of:
+            continue
+        t, l = s, 0
+        while t not in orbit_of:  # until g^l(s) is s again
+            orbit_of[t], power[t] = len(firsts), l
+            t, l = sum(1 << g for k, g in enumerate(perm) if t >> k & 1), l + 1
+        firsts.append(s)
+        sizes.append(l)
+    return _OrbitSector(basis, orbit_of, tuple(firsts), sizes, order, power)
 
 
 def orbit_sector(

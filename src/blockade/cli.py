@@ -147,6 +147,8 @@ def cmd_coeffs(args) -> int:
 
 def cmd_simulate(args) -> int:
     times = _time_grid(args)
+    if args.jmax is not None and not args.overlay_universal:
+        raise ValueError("--jmax is read only by --overlay-universal")
     if args.window_vs is not None:
         # the window is one CSV row comparing densities; refuse what it would ignore
         if args.format == "json":

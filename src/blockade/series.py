@@ -146,9 +146,10 @@ def pair_blockaded(model: ModelSpec, d: int) -> bool:
 def _observable_word(obs: ObservableSpec, model: ModelSpec) -> Word:
     """The unfolded word measured by ``obs``: n at one representative site
     for the per-site density, n_k for a local counter, n_k n_{k+d} for a pair
-    counter (refused for a distance below 1, or on an open chain it does not
-    fit), or the word itself.  The series and the basis both place
-    observables through this helper."""
+    counter (refused for a distance below 1, on an open chain it does not
+    fit, or on a ring where its two sites coincide, d a multiple of L), or
+    the word itself.  The series and the basis both place observables
+    through this helper, so every route refuses a pair with one message."""
     if obs.kind == "density":
         return ((0 if model.topology == "infinite" else 1, NUM),)
     if obs.kind == "local_number":
@@ -160,6 +161,10 @@ def _observable_word(obs: ObservableSpec, model: ModelSpec) -> Word:
         k = correlation_base_site(obs, model)
         if model.topology == "line" and (k < 1 or k + d > model.size):
             raise ValueError(f"pair ({k}, {k + d}) does not fit on {model.size} sites")
+        if model.topology == "ring" and d % model.size == 0:
+            raise ValueError(
+                f"pair ({k}, {k + d}) names one site twice on a ring of {model.size} sites"
+            )
         return make_word({k: NUM, k + d: NUM})
     if obs.kind == "word":
         return obs.word

@@ -74,5 +74,7 @@ def test_c6_parity_row_sees_a_parity_preserving_coupling(monkeypatch):
     # every state also coupled to itself: symmetric, but it keeps the parity
     flips = basis._flip_neighbours
     monkeypatch.setattr(basis, "_flip_neighbours", lambda s, masks: flips(s, masks) + [s])
-    assert spectral_checks(ring(6)).parity_anticommutes is False
+    rep = spectral_checks(ring(6))
+    assert rep.parity_anticommutes is False
+    assert rep.spectrum_asymmetry > 1  # every level shifted up by 1
     assert not c6_rows()["parity anticommutes with the drive, exact integers"].passed

@@ -242,6 +242,25 @@ class TestOrbitSector:
             row = {c: v for (r, c), v in drive.entries.items() if r == 0}
             assert 0 not in row and sum(row.values()) == model.size
 
+    @pytest.mark.parametrize("model", [ring(8), ring(9, 2), line(9), line(8, 3)])
+    def test_cyclic_walk_records_each_power(self, model):
+        # state = g^l(first state of its orbit), g read from the site strings
+        sector = blockade.basis._cyclic_walk(model)
+
+        def g(s):
+            sites = sector.basis.state_string(s)  # site k at position k - 1
+            image = sites[-1] + sites[:-1] if model.topology == "ring" else sites[::-1]
+            return int(image[::-1], 2)
+
+        assert sector.firsts[0] == 0 and sector.sizes[0] == 1  # the vacuum, alone
+        assert sum(sector.sizes) == blockade_dimension(model)
+        for s, r in sector.orbit_of.items():
+            t = sector.firsts[r]
+            for _ in range(sector.power[s]):
+                t = g(t)
+            assert t == s and sector.power[s] < sector.sizes[r]
+            assert sector.order % sector.sizes[r] == 0
+
 
 class TestRecursiveOrdering:
     def test_small_chains(self):

@@ -395,13 +395,38 @@ class TestRefusals:
                 ("simulate", "--L", "8", "--window-vs", "10", "--overlay-universal"),
                 "--window-vs takes no --overlay-universal",
             ),
+            (
+                ("simulate", "--L", "8", "--t-steps", "3", "--jmax", "3"),
+                "--jmax is read only by --overlay-universal",
+            ),
+            (
+                ("simulate", "--L", "8", "--window-vs", "10", "--jmax", "3"),
+                "--jmax is read only by --overlay-universal",
+            ),
+            (
+                ("coeffs", "--topology", "ring", "--L", "6", "--observable", "correlation",
+                 "--d", "6"),
+                "pair (1, 7) names one site twice on a ring of 6 sites",
+            ),
+            (
+                ("simulate", "--topology", "ring", "--L", "6", "--t-steps", "3",
+                 "--observable", "correlation", "--d", "12"),
+                "pair (1, 13) names one site twice on a ring of 6 sites",
+            ),
+            (
+                ("simulate", "--topology", "ring", "--L", "6", "--t-steps", "3",
+                 "--observable", "g2", "--d", "6"),
+                "pair (1, 7) names one site twice on a ring of 6 sites",
+            ),
         ],
         ids=[
             "topology", "L", "d", "emit-q", "t-steps", "overlay-jmax", "oracle-infinite",
             "evolve-infinite", "envelope-L", "correlation-d0", "g2-d0", "coeffs-jmax0",
             "t-stop-nan", "g2-t-stop-nan", "window-t-stop-inf", "one-point-t-start-inf",
             "envelope-t-start-inf", "g2-negative-time", "overlay-g2", "window-json",
-            "window-g2", "window-correlation", "window-overlay",
+            "window-g2", "window-correlation", "window-overlay", "jmax-without-overlay",
+            "window-jmax", "coeffs-pair-one-site", "correlation-pair-one-site",
+            "g2-pair-one-site",
         ],
     )
     def test_flag_refusals(self, capsys, argv, want):

@@ -30,7 +30,6 @@ from blockade.dynamics import (
     universal_window,
 )
 from blockade.series import (
-    _observable_word,
     correlation,
     correlation_base_site,
     correlation_coefficients,
@@ -38,10 +37,9 @@ from blockade.series import (
     density_coefficients,
     general_word,
     local_number,
-    pair_blockaded,
     word_coefficients,
 )
-from blockade.words import RAISE, Letter, fold_word, line, make_word, ring
+from blockade.words import RAISE, Letter, line, make_word, ring
 
 
 def cache_sizes():
@@ -57,9 +55,9 @@ def cache_size(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"built {args} before refusing")
 
-    monkeypatch.setattr(dynamics, "build_basis", refuse)
     monkeypatch.setattr(dynamics, "orbit_sector", refuse)
     monkeypatch.setattr(dynamics, "_orbit_walk", refuse)
+    monkeypatch.setattr(dynamics, "_cyclic_walk", refuse)
     monkeypatch.setattr(basis, "build_basis", refuse)
     monkeypatch.setattr(basis, "_admissible_states", refuse)
     return cache_sizes()
@@ -172,15 +170,10 @@ def g2_cases(draw):
 
 def composed_g2(model, d, times, site=None):
     """g2 composed from separate evolutions of the pair, n_k and (on a line)
-    n_{k+d}, a blockaded pair read as zero without evolving it: the
-    reference for the single propagation."""
+    n_{k+d}: the reference for the single propagation."""
     pair = correlation(d, site=site)
-    fold_word(_observable_word(pair, model), model)  # placed before the shortcut
     k = correlation_base_site(pair, model)
-    if pair_blockaded(model, d):
-        numerator = [0.0] * len(times)
-    else:
-        numerator = evolve(model, pair, times).values
+    numerator = evolve(model, pair, times).values
     na = evolve(model, local_number(k), times).values
     nb = na if model.topology == "ring" else evolve(model, local_number(k + d), times).values
     return [
@@ -325,6 +318,20 @@ class TestEvolve:
                 route(correlation(2, site=8))
         # a blockaded pair that fits still evolves as the zero it is
         assert evolve(line(8), correlation(1, site=3), [0.5, 1.0]).values == [0.0, 0.0]
+
+    @pytest.mark.parametrize("d", [6, 12])
+    def test_ring_pair_on_one_site_refused_on_every_route(self, cache_size, d):
+        # d a multiple of L: both sites are site 1, one reading on no route
+        want = rf"^pair \(1, {1 + d}\) names one site twice on a ring of 6 sites$"
+        for route in (
+            lambda: evolve(ring(6), correlation(d), [0.5]),
+            lambda: g2(ring(6), d, [0.5]),
+            lambda: taylor_oracle(ring(6), correlation(d), 2),
+            lambda: correlation_coefficients(ring(6), d, 2),
+        ):
+            with pytest.raises(ValueError, match=want):
+                route()
+        assert cache_sizes() == cache_size
 
     def test_late_time_settles_to_small_fluctuations(self):
         early = evolve(ring(14), density(), np.linspace(0.0, 6.0, 121)).values
@@ -478,7 +485,57 @@ class TestG2:
         assert calls == [2 if model.topology == "ring" else 3]
 
 
+def recorded_eigh(monkeypatch):
+    """Wrap `np.linalg.eigh` to record the eigenvalues of every call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        energies, vectors = eigh(a, *args, **kwargs)
+        calls.append(energies)
+        return energies, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return calls
+
+
 class TestSpectralChecks:
+    @pytest.mark.parametrize("topology", [ring, line])
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_block_spectra_are_the_full_spectrum(self, monkeypatch, topology, lam):
+        calls = recorded_eigh(monkeypatch)
+        for L in range(lam + 1 if topology is ring else 1, 15):
+            model = topology(L, lam)
+            full = np.linalg.eigvalsh(hamiltonian_matrix(model, build_basis(model)).to_dense())
+            calls.clear()
+            rep = spectral_checks(model)
+            assert rep.dimension == full.size == sum(e.size for e in calls)
+            union = np.sort(np.concatenate(calls))
+            assert np.max(np.abs(union - full), initial=0.0) <= 1e-12, model
+
+    @pytest.mark.parametrize("model, widest", [(ring(14), 64), (line(12), 195)])
+    def test_blocks_are_small(self, monkeypatch, model, widest):
+        calls = recorded_eigh(monkeypatch)
+        spectral_checks(model)
+        assert max(e.size for e in calls) <= widest
+
+    @pytest.mark.parametrize("model", [ring(8), line(9)])
+    def test_drive_that_breaks_the_lattice_symmetry_refused(self, monkeypatch, model):
+        # site 1 never flips: the drive stays symmetric, but it no longer
+        # commutes with the rotation or the reflection the blocks stand on
+        flips = basis._flip_neighbours
+        monkeypatch.setattr(
+            basis, "_flip_neighbours", lambda s, masks: [t for t in flips(s, masks) if s ^ t != 1]
+        )
+        assert hamiltonian_matrix(model, build_basis(model)).is_symmetric()
+
+        def refuse(*args):
+            raise AssertionError("eigh ran on blocks that are not the drive")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        with pytest.raises(ValueError, match=re.escape(f"drive of {model} is not symmetric under")):
+            spectral_checks(model)
+
     def test_open_chain_witnesses(self):
         rep = spectral_checks(line(8))
         assert rep.spectrum_asymmetry < 1e-10
