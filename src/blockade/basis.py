@@ -5,18 +5,18 @@ occupation states in which no two excited sites sit within lam lattice
 spacings of each other (cyclically on a ring).  The enumeration and the
 drive see the lattice only through its table of neighbourhood masks
 (`ModelSpec.neighborhood_masks`).  Admissible bitsets are grown site by
-site: the new site n is ground, or excited when its neighbours already
-placed (the bits below n of ``masks[n]``) are ground.  On a ring the
-neighbours across the seam are among those placed when the last sites
-arrive.  Building a basis costs memory in proportion to its dimension.  On
-an open chain with nearest-neighbour blockade the subspace is
-Fibonacci-dimensional and carries a natural recursive ordering: the basis
-of L sites is the basis of L-1 sites with a ground site appended, followed
-by the basis of L-2 sites with a ground-excited pair appended.  Ascending
-order is that recursive order (every state of the second block sets the
-top bit), so one enumerator serves every lattice.  The drive and the
-total-excitation counter then inherit block recursions, which this module
-implements alongside a generic bit-flip construction.
+site, as one sorted ``int64`` array: the new site n is ground, or excited
+when its neighbours already placed (the bits below n of ``masks[n]``) are
+ground.  On a ring the neighbours across the seam are among those placed
+when the last sites arrive.  Building a basis costs memory in proportion to
+its dimension.  On an open chain with nearest-neighbour blockade the
+subspace is Fibonacci-dimensional and carries a natural recursive ordering:
+the basis of L sites is the basis of L-1 sites with a ground site appended,
+followed by the basis of L-2 sites with a ground-excited pair appended.
+Ascending order is that recursive order (every state of the second block
+sets the top bit), so one enumerator serves every lattice.  The drive and
+the total-excitation counter then inherit block recursions, which this
+module implements alongside a generic bit-flip construction.
 
 The vacuum is invariant under the lattice symmetries (site reflection on a
 line, reflections and rotations on a ring), and so is every power of the
@@ -24,14 +24,14 @@ drive applied to it.  `orbit_sector` groups the basis states into orbits
 under that group and writes the drive and an observable in the basis of
 unnormalised orbit sums, where both stay exact integer matrices; the
 integer Taylor oracle and the exact evolution of `blockade.dynamics` run
-there.  One builder, `_OrbitSector`, writes both matrices for any grouping:
-the full space is the sector of the trivial group, in which every state is
-its own orbit, so `hamiltonian_matrix` and `observable_matrix` are its
-singleton case and share its drive loop, its observable pass and its
-integer symmetry check.  A second walk, `_cyclic_walk`, groups the states
-under the cyclic group of one site permutation (the rotation by one site
-on a ring, the reflection on a line) and records where in its orbit each
-state sits; `dynamics.spectral_checks` builds its Bloch blocks from it.
+there.  One array builder, `_sector`, serves three groups: the trivial
+group (the full space, so `hamiltonian_matrix` and `observable_matrix` are
+its singleton case), the cyclic group of one site permutation g (the Bloch
+blocks of `dynamics.spectral_checks`) and the whole lattice group.  Each
+state's least image, taken by array shifts and bit reversals, is the first
+state of its orbit.  Every builder reads the drive's flips from one array
+rule, `_flips`, and checks in integers on every state that they commute
+with the group, and that the orbit drive is symmetric.
 
 States are stored as occupation bitsets (bit k-1 set means site k excited,
 so the printed string for the integer 5 on four sites is 1010).  Operator
@@ -105,19 +105,24 @@ class SparseIntMatrix:
 
     def matvec_int(self, vec: list[int]) -> list[int]:
         """Exact matrix-vector product over Python integers."""
-        out = [0] * self.dimension
-        for r, cols in enumerate(self._rows):
-            s = 0
-            for c, v in cols:
-                s += v * vec[c] if v != 1 else vec[c]
-            out[r] = s
-        return out
+        return _matvec(self._rows, vec)
 
     def to_dense(self, dtype=float) -> np.ndarray:
         m = np.zeros((self.dimension, self.dimension), dtype=dtype)
         for (r, c), v in self.entries.items():
             m[r, c] = v
         return m
+
+
+def _matvec(rows: list, vec: list[int]) -> list[int]:
+    """Exact product of ``vec`` with the rows, lists of (column, value)."""
+    out = []
+    for cols in rows:
+        s = 0
+        for c, v in cols:
+            s += v * vec[c] if v != 1 else vec[c]
+        out.append(s)
+    return out
 
 
 def dumps_matrix(matrix: SparseIntMatrix) -> str:
@@ -149,32 +154,13 @@ def blockade_dimension(model: ModelSpec) -> int:
     """
     L = _finite_size(model)
     lam = model.blockade_range
-    dim_t = lam + 1
-    T = [[0] * dim_t for _ in range(dim_t)]
+    T = np.zeros((lam + 1, lam + 1), dtype=object)  # exact Python integers
     # state 0: window empty; state p in 1..lam: one excitation seen p-1 steps ago
-    T[0][0] = 1
-    T[1][0] = 1
+    T[0, 0] = T[1, 0] = T[0, lam] = 1
     for p in range(1, lam):
-        T[p + 1][p] = 1
-    T[0][lam] = 1
-
-    def matmul(A, B):
-        return [
-            [sum(A[i][k] * B[k][j] for k in range(dim_t)) for j in range(dim_t)]
-            for i in range(dim_t)
-        ]
-
-    P = [[int(i == j) for j in range(dim_t)] for i in range(dim_t)]
-    Q = T
-    n = L
-    while n:
-        if n & 1:
-            P = matmul(P, Q)
-        Q = matmul(Q, Q)
-        n >>= 1
-    if model.topology == "ring":
-        return sum(P[i][i] for i in range(dim_t))
-    return sum(row[0] for row in P)
+        T[p + 1, p] = 1
+    P = np.linalg.matrix_power(T, L)
+    return int(np.trace(P) if model.topology == "ring" else P[:, 0].sum())
 
 
 @dataclass
@@ -194,10 +180,12 @@ class BlockadeBasis:
         return "".join("1" if occupation >> k & 1 else "0" for k in range(L))
 
 
-def _admissible_states(masks: tuple[int, ...]) -> list[int]:
-    """Ascending list of the bitsets over ``len(masks)`` sites in which no
-    excited site has an excited neighbour, ``masks[n]`` being the
-    neighbourhood of bit n.
+def _admissible_states(model: ModelSpec) -> np.ndarray:
+    """Ascending ``int64`` array of the bitsets over the sites of a finite
+    lattice in which no excited site has an excited neighbour, ``masks[n]``
+    (`ModelSpec.neighborhood_masks`) being the neighbourhood of bit n.  The
+    infinite chain and lattices past the enumeration cap are refused before
+    anything is built.
 
     Sites are added one at a time: the states of n+1 sites are those of n
     sites with the new site ground, followed by those with the new site
@@ -207,24 +195,20 @@ def _admissible_states(masks: tuple[int, ...]) -> list[int]:
     the two is placed, so on a ring the pairs across the seam are checked as
     the last sites arrive.  Both halves keep ascending order, so memory
     stays proportional to the dimension."""
-    states = [0]
-    for n, m in enumerate(masks):
-        states += [s | 1 << n for s in states if not s & m]
+    L = _finite_size(model)
+    if L > _ENUMERATION_LIMIT:
+        raise ValueError(f"bitset enumeration capped at {_ENUMERATION_LIMIT} sites (asked {L})")
+    states = np.zeros(1, dtype=np.int64)
+    for n, m in enumerate(model.neighborhood_masks):
+        states = np.concatenate((states, states[states & m == 0] | 1 << n))
     return states
 
 
 def build_basis(model: ModelSpec) -> BlockadeBasis:
-    """Construct the blockade basis for a finite lattice.
-
-    Admissible bitsets are enumerated in ascending order, which puts the
-    all-ground state first and, on open nearest-neighbour chains, is the
-    recursive ordering.  The infinite chain and lattices past the
-    enumeration cap are refused before anything is built.
-    """
-    L = _finite_size(model)
-    if L > _ENUMERATION_LIMIT:
-        raise ValueError(f"bitset enumeration capped at {_ENUMERATION_LIMIT} sites (asked {L})")
-    states = tuple(_admissible_states(model.neighborhood_masks))
+    """Construct the blockade basis for a finite lattice: the admissible
+    bitsets in ascending order, which puts the all-ground state first and,
+    on open nearest-neighbour chains, is the recursive ordering."""
+    states = tuple(_admissible_states(model).tolist())
     index = {s: i for i, s in enumerate(states)}
     return BlockadeBasis(model=model, states=states, index=index)
 
@@ -234,116 +218,132 @@ def build_basis(model: ModelSpec) -> BlockadeBasis:
 # ---------------------------------------------------------------------------
 
 
-def _flip_neighbours(s: int, masks: list[int]) -> list[int]:
-    """States one drive flip away from ``s``: any excitation lowered, or any
-    ground site raised whose blockade neighbourhood is unexcited."""
-    return [s ^ 1 << k for k, m in enumerate(masks) if s >> k & 1 or not s & m]
+def _flips(states: np.ndarray, masks):
+    """The drive's flips out of ``states``, read by every builder: for each
+    site k the pattern p = 2^k and the mask of the states that flip site k
+    (an excitation is lowered; a ground site is raised when its blockade
+    neighbourhood is unexcited), whose targets are those states ^ p."""
+    for k, m in enumerate(masks):
+        yield 1 << k, (states >> k & 1 == 1) | (states & m == 0)
+
+
+def _count(distinct: np.ndarray, counts: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """How often each of ``wanted`` appears among keys counted into
+    ``distinct`` (ascending, from `np.unique`) and ``counts``; 0 if never."""
+    at = np.minimum(np.searchsorted(distinct, wanted), distinct.size - 1)
+    return np.where(distinct[at] == wanted, counts[at], 0)
 
 
 @dataclass(frozen=True)
 class _OrbitSector:
-    """The basis states of one lattice grouped into orbits, and the integer
-    drive and observables on the unnormalised orbit sums (see
-    `orbit_sector`).  The full space is the sector of the trivial group:
-    every state is its own orbit, numbered by `BlockadeBasis.index`."""
+    """The admissible states of one lattice in the orbits of a symmetry
+    group (`_sector`), and the integer drive and observables on their
+    unnormalised sums (see `orbit_sector`) as rows, columns and values."""
 
-    basis: BlockadeBasis
-    orbit_of: dict  # state -> orbit number
-    firsts: tuple  # the first state of each orbit, in basis order
-    sizes: list  # n_r, the number of states in orbit r
-    # cyclic groups only (`_cyclic_walk`): the group order m, and for each
-    # state the power l with state = g^l(first state of its orbit)
-    order: int | None = None
-    power: dict | None = None
+    model: ModelSpec
+    states: np.ndarray  # the admissible states, ascending
+    orbit: np.ndarray  # the orbit number of each state
+    firsts: np.ndarray  # the first state of each orbit
+    sizes: np.ndarray  # n_r, the number of states in orbit r
+    generators: tuple  # maps of state arrays that generate the group
+    order: int  # m, the order of the first generator g (1: the trivial group)
+    power: np.ndarray  # cyclic groups: l with state = g^l(first state of its orbit)
 
-    def drive(self) -> SparseIntMatrix:
-        """A(r', r), the drive neighbours that the first state of orbit r'
-        has in orbit r, checked in integers for n_r' A(r', r) = n_r A(r, r')."""
-        masks, orbit_of, sizes = self.basis.model.neighborhood_masks, self.orbit_of, self.sizes
-        drive: dict = {}
-        for r, s in enumerate(self.firsts):
-            for t in _flip_neighbours(s, masks):
-                key = (r, orbit_of[t])
-                drive[key] = drive.get(key, 0) + 1
-        for (r, c), v in drive.items():
-            if sizes[r] * v != sizes[c] * drive.get((c, r), 0):
+    def _check_generators(self) -> None:
+        """Refuse flips that do not commute with each generator g, in
+        integers on every state: s flips by p exactly when g(s) flips by
+        g(p).  A state's patterns are packed into one integer, a bit each."""
+        states, model = self.states, self.model
+        slots: dict = {}  # pattern -> its bit
+        flipped = np.zeros_like(states)
+        for pattern, allowed in _flips(states, model.neighborhood_masks):
+            flipped |= allowed.astype(np.int64) << slots.setdefault(pattern, len(slots))
+        patterns = np.array(list(slots), dtype=np.int64)
+        for g in self.generators:
+            moved = np.zeros_like(flipped)  # g(p) for each p; a p nobody flips by: a new bit
+            for slot, image in enumerate(g(patterns).tolist()):
+                moved |= (flipped >> slot & 1) << slots.setdefault(image, len(slots))
+            preimage = np.argsort(g(states))  # g(states[preimage[j]]) = states[j]
+            bad = np.flatnonzero(moved[preimage] != flipped)
+            if bad.size:
+                s = f"{int(states[preimage[bad[0]]]):0{model.size}b}"[::-1]
                 raise ValueError(
-                    f"drive of {self.basis.model} is not symmetric between orbits {r} and {c}"
+                    f"drive of {model} is not symmetric under its lattice permutation at state {s}"
                 )
-        return SparseIntMatrix(len(sizes), drive)
 
-    def bloch_edges(self) -> dict:
-        """(r, r', l) -> how many drive flips of the first state of orbit r
-        land on g^l(first state of r'), in a sector of `_cyclic_walk`.
+    def _edges(self, m: int) -> np.ndarray:
+        """The flips out of the first state of each orbit r, in order, as keys
+        (r n + r') m + l: r' the target's orbit, l mod m its power."""
+        self._check_generators()
+        rows, targets = [], []
+        for pattern, allowed in _flips(self.firsts, self.model.neighborhood_masks):
+            rows.append(np.flatnonzero(allowed))
+            targets.append(self.firsts[allowed] ^ pattern)
+        rows, targets = np.concatenate(rows), np.concatenate(targets)
+        order = np.argsort(rows, kind="stable")
+        rows, targets = rows[order], np.searchsorted(self.states, targets[order])
+        return (rows * self.sizes.size + self.orbit[targets]) * m + self.power[targets] % m
 
-        Blocks built from these edges stand for the drive only if it
-        commutes with g and is symmetric.  The orbit counts of `drive` do
-        not see a drive that breaks g, so both are checked here, in
-        integers, on every basis state: each state of orbit r, its flips
-        read from its own power, has the flips of the first state of r; and
-        each edge (r, r', l) comes back from r' as (r', r, -l mod n_r) as
-        many times as it goes out.
-        """
-        model, orbit_of, power, sizes = self.basis.model, self.orbit_of, self.power, self.sizes
-        masks = model.neighborhood_masks
-        edges: list = []  # per orbit, the sorted (r', l) of its first state's flips
-        for s in self.basis.states:  # the first state of an orbit comes first
-            l = power[s]
-            seen = sorted(
-                (orbit_of[t], (power[t] - l) % sizes[orbit_of[t]])
-                for t in _flip_neighbours(s, masks)
+    def _refuse(self, r: np.ndarray, c: np.ndarray, bad: np.ndarray) -> None:
+        """Refuse the drive at the first of the ``bad`` edges from r to c."""
+        if bad.size:
+            raise ValueError(
+                f"drive of {self.model} is not symmetric between orbits {r[bad[0]]} and {c[bad[0]]}"
             )
-            if not l:
-                edges.append(seen)
-            elif seen != edges[orbit_of[s]]:
-                raise ValueError(
-                    f"drive of {model} is not symmetric under its lattice permutation "
-                    f"at state {self.basis.state_string(s)}"
-                )
-        counts: dict = {}
-        for r, seen in enumerate(edges):
-            for c, l in seen:
-                counts[r, c, l] = counts.get((r, c, l), 0) + 1
-        for (r, c, l), v in counts.items():
-            if counts.get((c, r, -l % sizes[r])) != v:
-                raise ValueError(f"drive of {model} is not symmetric between orbits {r} and {c}")
-        return counts
 
-    def observable(self, obs: ObservableSpec) -> SparseIntMatrix:
+    def drive(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A(r', r), the drive neighbours that the first state of orbit r'
+        has in orbit r, in order of first appearance.  Checked in integers:
+        the flips commute with the group, and n_r' A(r', r) = n_r A(r, r')."""
+        n, sizes = self.sizes.size, self.sizes
+        keys, first, counts = np.unique(self._edges(1), return_index=True, return_counts=True)
+        (r, c), order = np.divmod(keys, n), np.argsort(first)
+        mirrored = sizes[c] * _count(keys, counts, c * n + r)
+        self._refuse(r, c, order[(sizes[r] * counts != mirrored)[order]])
+        return r[order], c[order], counts[order]
+
+    def bloch_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(r, r', l, count), ascending: how many flips of the first state of
+        orbit r land on g^l(first state of r'), in the cyclic group of g.
+        Their Bloch blocks stand for the drive only if it commutes with g
+        and each edge (r, r', l) comes back as (r', r, -l mod n_r) as often."""
+        n, m = self.sizes.size, self.order
+        keys, counts = np.unique(self._edges(m), return_counts=True)
+        (r, c), l = np.divmod(keys // m, n), keys % m
+        back = _count(keys, counts, (c * n + r) * m + -l % self.sizes[r])
+        self._refuse(r, c, np.flatnonzero(counts != back))
+        return r, c, l, counts
+
+    def observable(self, obs: ObservableSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """O(r', r), the full-space entries of ``obs`` summed over each pair
-        of orbits, in one pass over the basis states.
-
-        The density is the total counter, diagonal.  Every other observable
-        is placed as a word by the same rule as the series and packed by
-        `words.fold_word` into ``(S, O, I)``: it takes a basis state ``s``
-        with ``s & S == I`` to ``s & ~S | O`` and annihilates the rest, and
-        images that leave the subspace are projected to zero rather than
-        flagged.
-        """
-        model, orbit_of = self.basis.model, self.orbit_of
-        sums: dict = {}
+        of orbits, the non-zero ones in order of first appearance.  The
+        density is the total counter, n_r times its value on the first state
+        of orbit r.  Any other observable is placed as a word by the rule of
+        the series and packed by `words.fold_word` into ``(S, O, I)``; images
+        that leave the subspace are projected to zero rather than flagged."""
+        n, states = self.sizes.size, self.states
         if obs.kind == "density":
-            for s in self.basis.states:
-                key = (orbit_of[s],) * 2
-                sums[key] = sums.get(key, 0) + bin(s).count("1")
-            return SparseIntMatrix(len(self.sizes), sums)
-        packed = fold_word(_observable_word(obs, model), model)
-        if packed is not None:
-            S, O, I = packed
-            for s in self.basis.states:
-                if s & S == I:
-                    r = orbit_of.get(s & ~S | O)
-                    if r is not None:  # None: image outside the subspace, projected away
-                        key = (r, orbit_of[s])
-                        sums[key] = sums.get(key, 0) + 1
-        return SparseIntMatrix(len(self.sizes), sums)
+            ones = np.array([bin(s).count("1") for s in self.firsts.tolist()], dtype=np.int64)
+            r = np.flatnonzero(ones)
+            return r, r, self.sizes[r] * ones[r]
+        packed = fold_word(_observable_word(obs, self.model), self.model)
+        if packed is None:
+            return (np.zeros(0, dtype=np.int64),) * 3
+        S, O, I = packed
+        sources = np.flatnonzero(states & S == I)
+        images = states[sources] & ~S | O
+        at = np.minimum(np.searchsorted(states, images), states.size - 1)
+        inside = states[at] == images  # the rest leave the subspace: projected away
+        keys = self.orbit[at[inside]] * n + self.orbit[sources[inside]]
+        keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return *np.divmod(keys[order], n), counts[order]
 
 
-def _singletons(model: ModelSpec, basis: BlockadeBasis) -> _OrbitSector:
-    """The full space of ``model`` as the orbit sector of the trivial group."""
-    if basis.model != model:
-        raise ValueError(f"basis built for {basis.model}, asked about {model}")
-    return _OrbitSector(basis, basis.index, basis.states, [1] * basis.dimension)
+def _matrix(sector: _OrbitSector, entries: tuple) -> SparseIntMatrix:
+    """The matrix on the orbits of ``sector`` with these rows, columns, values."""
+    rows, cols, values = (a.tolist() for a in entries)
+    return SparseIntMatrix(sector.sizes.size, dict(zip(zip(rows, cols), values)))
 
 
 def hamiltonian_matrix(model: ModelSpec, basis: BlockadeBasis) -> SparseIntMatrix:
@@ -356,7 +356,8 @@ def hamiltonian_matrix(model: ModelSpec, basis: BlockadeBasis) -> SparseIntMatri
     nearest-neighbour chains acceptance check C8 compares it entry for entry
     with the block recursion.
     """
-    return _singletons(model, basis).drive()
+    sector = _sector(model, "trivial", basis)
+    return _matrix(sector, sector.drive())
 
 
 def drive_matrix_recursive(L: int) -> SparseIntMatrix:
@@ -418,7 +419,8 @@ def observable_matrix(
     (consumers divide by L).  For open nearest-neighbour chains acceptance
     check C8 compares it with its block recursion.
     """
-    return _singletons(model, basis).observable(obs)
+    sector = _sector(model, "trivial", basis)
+    return _matrix(sector, sector.observable(obs))
 
 
 def parity_matrix(basis: BlockadeBasis) -> SparseIntMatrix:
@@ -437,65 +439,48 @@ def parity_matrix(basis: BlockadeBasis) -> SparseIntMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _orbit(occupation: int, model: ModelSpec) -> set[int]:
-    """Images of a state under the lattice symmetries: site reflection on a
-    line, reflections and rotations on a ring."""
+def _symmetries(model: ModelSpec) -> list[tuple]:
+    """The site permutations that generate the lattice symmetry group, as
+    maps of state arrays with their orders: the rotation by one site (order
+    L) and the reflection on a ring, the reflection (order 2) on a line."""
     L = model.size
-    images = {occupation, int(f"{occupation:0{L}b}"[::-1], 2)}
-    if model.topology == "ring":
-        mask = (1 << L) - 1
-        images = {(s << d | s >> (L - d)) & mask for s in images for d in range(L)}
-    return images
+
+    def rotate(states):  # bit k to bit k + 1 (mod L)
+        return (states << 1 | states >> (L - 1)) & ((1 << L) - 1)
+
+    def reflect(states):  # bit k to bit L - 1 - k, one bit at a time
+        out = np.zeros_like(states)
+        for k in range(L):
+            out |= (states >> k & 1) << (L - 1 - k)
+        return out
+
+    return [(rotate, L), (reflect, 2)] if model.topology == "ring" else [(reflect, 2)]
 
 
-def _orbit_walk(model: ModelSpec) -> _OrbitSector:
-    """The orbits of `orbit_sector`.  Orbit r is numbered by its first state
-    in basis order, so the vacuum is orbit 0 and alone in it."""
-    basis = build_basis(model)
-    orbit_of: dict = {}
-    firsts, sizes = [], []
-    for s in basis.states:
-        if s not in orbit_of:
-            members = _orbit(s, model)
-            for t in members:
-                orbit_of[t] = len(firsts)
-            firsts.append(s)
-            sizes.append(len(members))
-    return _OrbitSector(basis, orbit_of, tuple(firsts), sizes)
-
-
-def _generator(model: ModelSpec) -> tuple[tuple[int, ...], int]:
-    """The site permutation g (bit k goes to bit g[k]) that generates the
-    cyclic symmetry group of `_cyclic_walk`, and its order m: the rotation
-    by one site on a ring (m = L), the site reflection on a line (m = 2)."""
-    L = model.size
-    if model.topology == "ring":
-        return tuple((k + 1) % L for k in range(L)), L
-    return tuple(L - 1 - k for k in range(L)), 2
-
-
-def _cyclic_walk(model: ModelSpec) -> _OrbitSector:
-    """The basis states grouped into orbits of the cyclic group generated by
-    one site permutation g (`_generator`), in one walk of the basis.  Each
-    orbit is numbered by its first state in basis order, so the vacuum is
-    orbit 0 and alone in it, and each state records the power l with
-    state = g^l(first state of its orbit), 0 <= l < n_r.  The orbits of
-    each character of g give `dynamics.spectral_checks` its Bloch blocks."""
-    basis = build_basis(model)
-    perm, order = _generator(model)
-    orbit_of: dict = {}
-    power: dict = {}
-    firsts, sizes = [], []
-    for s in basis.states:
-        if s in orbit_of:
-            continue
-        t, l = s, 0
-        while t not in orbit_of:  # until g^l(s) is s again
-            orbit_of[t], power[t] = len(firsts), l
-            t, l = sum(1 << g for k, g in enumerate(perm) if t >> k & 1), l + 1
-        firsts.append(s)
-        sizes.append(l)
-    return _OrbitSector(basis, orbit_of, tuple(firsts), sizes, order, power)
+def _sector(model: ModelSpec, group: str, basis: BlockadeBasis | None = None) -> _OrbitSector:
+    """The admissible states of ``model`` (those of ``basis`` if given) in
+    the orbits of the ``"trivial"`` group (the full space), the ``"cyclic"``
+    group of g, the first of `_symmetries`, or the whole ``"lattice"`` group.
+    Every element is g^d h^e, h the reflection of a ring, so array shifts of
+    each state and of its bit reversal reach its least image, the first state
+    of its orbit, by which `np.unique` numbers the orbits.  In a cyclic group
+    the first d that reaches it gives l = -d mod n_r.  Memory is O(dimension)."""
+    if basis is not None and basis.model != model:
+        raise ValueError(f"basis built for {basis.model}, asked about {model}")
+    states = _admissible_states(model) if basis is None else np.array(basis.states, dtype=np.int64)
+    generators = _symmetries(model)[: ("trivial", "cyclic", "lattice").index(group)]
+    g, order = generators[0] if generators else (None, 1)
+    least, first_power = states, np.zeros_like(states)
+    for image in [states] + [h(states) for h, _ in generators[1:]]:
+        for d in range(order):
+            if d:
+                image = g(image)
+            smaller = image < least
+            least = np.where(smaller, image, least)
+            first_power[smaller] = d
+    firsts, orbit, sizes = np.unique(least, return_inverse=True, return_counts=True)
+    power, maps = -first_power % sizes[orbit], tuple(g for g, _ in generators)
+    return _OrbitSector(model, states, orbit, firsts, sizes, maps, order, power)
 
 
 def orbit_sector(
@@ -510,19 +495,15 @@ def orbit_sector(
     c_r its amplitude on each member of r.  The drive acts on the integer
     coefficients c through the matrix A whose entry (r', r) counts the drive
     neighbours that the first state of orbit r' has in orbit r.  Any
-    observable O, symmetric or not, enters invariant vectors u and v as
+    observable O enters invariant vectors u and v as
     <u|O|v> = sum c_u(r') O(r', r) c_v(r), where O(r', r) sums the full-space
-    entries of `observable_matrix` over the pair of orbits.  Both matrices
-    are exact integer matrices.
+    entries of `observable_matrix` over the pair of orbits.
 
-    A symmetric drive joins orbits r' and r by as many edges seen from
-    either side, n_r' A(r', r) = n_r A(r, r').  The oracle's bra H^m e0
-    relies on that symmetry, and so does `np.linalg.eigh`, which
-    `dynamics.evolve` runs on the normalised sector drive
-    A(r', r) sqrt(n_r' / n_r) (amplitudes c_r sqrt(n_r)), so the drive
-    builder checks it in integers and raises a `ValueError` when it fails.
-    Nothing is cached: the basis of a large oracle lattice is freed on
-    return.
+    A is the drive on invariant vectors if the drive's flips commute with
+    the group, and a symmetric drive has n_r' A(r', r) = n_r A(r, r').  The
+    oracle's bra H^m e0 and the `np.linalg.eigh` of `dynamics.evolve` rely
+    on both, so the builder checks both in integers and raises a
+    `ValueError` when one fails.  Nothing is cached.
     """
-    sector = _orbit_walk(model)
-    return sector.drive(), sector.observable(obs)
+    sector = _sector(model, "lattice")
+    return _matrix(sector, sector.drive()), _matrix(sector, sector.observable(obs))

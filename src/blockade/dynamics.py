@@ -29,11 +29,11 @@ binomial sum
     <ad^M(O)> = sum_m (-1)^m C(M, m) (H^(M-m) e0) . O (H^m e0),
 
 rational division entering only at the final factorial.  Every H^m e0 is
-invariant under the lattice symmetries too, so the oracle works on its
-integer coefficients over the same orbit sums, unnormalised: there the
-drive and the observable are exact integer matrices of the sector dimension
-and the binomial sum is unchanged.  Its results must match the symbolic
-engine digit for digit, which is the strongest self-test in the package.
+invariant under the lattice symmetries too, so the oracle keeps its integer
+coefficients over the same orbit sums, unnormalised, and on the orbits of
+excitation parity m mod 2, and sums even orders only for a symmetric
+observable.  Its results must match the symbolic engine digit for digit,
+which is the strongest self-test in the package.
 
 Spectral diagnostics exploit the excitation-parity anticommutation of the
 drive: the spectrum is symmetric about zero, every eigenvector away from zero
@@ -51,13 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import (
-    SparseIntMatrix,
-    _cyclic_walk,
-    _orbit_walk,
-    blockade_dimension,
-    orbit_sector,
-)
+from .basis import _matrix, _matvec, _sector, blockade_dimension
 from .series import (
     ObservableSpec,
     _observable_word,
@@ -142,16 +136,16 @@ def _check_dense_budget(model: ModelSpec) -> None:
         )
 
 
-def _diagonalise(drive: SparseIntMatrix, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """Dense symmetric eigendecomposition of an orbit drive on the
-    normalised orbit sums |r> / sqrt(n_r), where it is
-    A(r', r) sqrt(n_r' / n_r) = n_r' A(r', r) / sqrt(n_r' n_r).  The drive
-    builder has checked that the integer edge count n_r' A(r', r) is
+def _diagonalise(drive, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense symmetric eigendecomposition of an orbit drive (its rows,
+    columns and values) on the normalised orbit sums |r> / sqrt(n_r), where
+    it is A(r', r) sqrt(n_r' / n_r) = n_r' A(r', r) / sqrt(n_r' n_r).  The
+    drive builder has checked that the integer edge count n_r' A(r', r) is
     symmetric, so the float matrix is exactly symmetric as well, as
     `np.linalg.eigh` (which reads one triangle) needs."""
-    dense = np.zeros((len(sizes), len(sizes)))
-    for (r, c), v in drive.entries.items():
-        dense[r, c] = sizes[r] * v / math.sqrt(sizes[r] * sizes[c])
+    rows, cols, values = drive
+    dense = np.zeros((sizes.size, sizes.size))
+    dense[rows, cols] = sizes[rows] * values / np.sqrt(sizes[rows] * sizes[cols])
     return np.linalg.eigh(dense)
 
 
@@ -161,21 +155,16 @@ def _sector_eigensystem(model: ModelSpec):
     cached per model; refused from the closed-form full dimension before
     the basis is built."""
     _check_dense_budget(model)
-    sector = _orbit_walk(model)
+    sector = _sector(model, "lattice")
     return sector, *_diagonalise(sector.drive(), sector.sizes)
 
 
-def _coordinates(matrix: SparseIntMatrix, sizes):
-    """Rows, columns and float values of the entries of ``matrix``, each
-    orbit-summed entry O(r', r) divided by sqrt(n_r' n_r), which makes it
-    act on normalised orbit amplitudes."""
-    coo = np.array(
-        [(r, c, v) for (r, c), v in matrix.entries.items()], dtype=np.int64
-    ).reshape(-1, 3)
-    rows, cols, vals = coo[:, 0], coo[:, 1], coo[:, 2].astype(float)
-    n = np.asarray(sizes, dtype=np.int64)
-    vals /= np.sqrt(n[rows] * n[cols])
-    return rows, cols, vals
+def _coordinates(matrix, sizes: np.ndarray):
+    """The rows and columns of an orbit observable (its rows, columns and
+    values) with float values, each orbit-summed entry O(r', r) divided by
+    sqrt(n_r' n_r), which makes it act on normalised orbit amplitudes."""
+    rows, cols, values = matrix
+    return rows, cols, values / np.sqrt(sizes[rows] * sizes[cols])
 
 
 def _expectations(energies, vectors, observables, times):
@@ -238,7 +227,8 @@ def _evolved(model: ModelSpec, observables: list[ObservableSpec], times):
     sector, energies, vectors = _sector_eigensystem(model)
     matrices = [sector.observable(obs) for obs in observables]
     norms = [1.0 / model.size if obs.kind == "density" else 1.0 for obs in observables]
-    values = [[m.entries.get((0, 0), 0) * n] * len(times) for m, n in zip(matrices, norms)]
+    vacuum = [int(v[(r == 0) & (c == 0)].sum()) for r, c, v in matrices]  # orbit 0, alone
+    values = [[e * n] * len(times) for e, n in zip(vacuum, norms)]
     later = [i for i, t in enumerate(times) if t != 0.0]
     coordinates = [_coordinates(matrix, sector.sizes) for matrix in matrices]
     n2, re, im = _expectations(energies, vectors, coordinates, [times[i] for i in later])
@@ -266,23 +256,39 @@ def evolve(model: ModelSpec, obs: ObservableSpec, times) -> EvolutionResult:
 # ---------------------------------------------------------------------------
 
 
-def taylor_oracle(model: ModelSpec, obs: ObservableSpec, jmax: int) -> TaylorOracleResult:
-    """Exact Taylor data from integer matrix powers (independent of the
-    symbolic engine).
+def _parity_blocks(matrix, parity: list[int], shift: int) -> list[list]:
+    """An orbit matrix (rows, columns, values) as two blocks: for vectors on
+    the orbits of parity p, the rows of the orbits of parity p ^ ``shift``
+    as lists of (column slot, value), slots numbering the orbits of a parity."""
+    slot, count = [], [0, 0]
+    for p in parity:
+        slot.append(count[p])
+        count[p] += 1
+    rows = [[[] for _ in range(n)] for n in count]  # by the parity of the row
+    for r, c, v in zip(*(a.tolist() for a in matrix)):
+        rows[parity[r]][slot[r]].append((slot[c], v))
+    return [rows[shift], rows[1 ^ shift]]
 
-    Computes v_m = H^m |vacuum> for m up to 2*jmax by exact sparse integer
-    matrix-vector products on the orbit-sum coefficients of
-    `basis.orbit_sector`, then assembles every nested-commutator expectation
-    through the binomial expansion and divides by the factorial at the very
-    end.  The bra <e0| H^(M-m) of each term is taken as the vector
-    H^(M-m) e0, where (H^T)^(M-m) e0 is meant: that is correct because the
-    drive is symmetric, and `orbit_sector` refuses a drive that is not.  Odd
-    orders come from the same sum; for a self-adjoint observable its terms
-    cancel in pairs (m against M - m), so they are exactly zero, while a
-    word such as a lone raising operator has non-zero odd orders.  A
-    ``jmax`` below 1, the work budget (which counts the full blockade
-    dimension) and the placement of the observable are checked before
-    anything is built.
+
+def taylor_oracle(model: ModelSpec, obs: ObservableSpec, jmax: int) -> TaylorOracleResult:
+    """Exact Taylor data from integer matrix powers, independent of the
+    symbolic engine.  Computes v_m = H^m |vacuum> for m up to 2*jmax by exact
+    sparse integer matrix-vector products on the orbit-sum coefficients of
+    `basis.orbit_sector`, and assembles every nested-commutator expectation
+    through the binomial expansion, dividing by the factorial at the very
+    end.  The bra <e0| H^(M-m) is the vector H^(M-m) e0, which is correct
+    because `orbit_sector` refuses a drive that is not symmetric or does not
+    commute with the lattice symmetries.  The drive flips the excitation
+    parity (an edge that keeps it is refused), so v_m is kept on the orbits
+    of parity m mod 2, and a term is summed only where v_(M-m) and O v_m
+    meet on one class.  A symmetric orbit observable matrix (the density,
+    local numbers, pair counters) keeps the parity, so its odd orders are
+    exact zeros and the equal terms m and M - m are summed once, from O v_m
+    for m <= jmax and the current v alone.  Any other word, such as a lone
+    raising operator with non-zero odd orders, takes the full sum over every
+    order, from O v_m and O^T v_m.  A ``jmax`` below 1, the work budget
+    (which counts the full blockade dimension) and the placement of the
+    observable are checked before anything is built.
     """
     if jmax < 1:
         raise ValueError(f"jmax must be at least 1, not {jmax}")
@@ -293,22 +299,36 @@ def taylor_oracle(model: ModelSpec, obs: ObservableSpec, jmax: int) -> TaylorOra
         what = f"integer Taylor oracle (ad order {max_ad} x dimension {dimension})"
         raise DimensionBudgetError(work, ORACLE_WORK_BUDGET, what, "work")
     fold_word(_observable_word(obs, model), model)
-    drive, matrix = orbit_sector(model, obs)
-    vs = [[1] + [0] * (drive.dimension - 1)]  # the vacuum is orbit 0
-    for _ in range(max_ad):
-        vs.append(drive.matvec_int(vs[-1]))
-    ovs = [matrix.matvec_int(v) for v in vs]
-
-    def dot(x, y):
-        return sum(map(operator.mul, x, y))
+    sector = _sector(model, "lattice")
+    drive, matrix = sector.drive(), sector.observable(obs)
+    parity = [bin(s).count("1") & 1 for s in sector.firsts.tolist()]
+    for r, c in zip(drive[0].tolist(), drive[1].tolist()):
+        if parity[r] == parity[c]:
+            what = f"drive of {model} keeps the excitation parity"
+            raise ValueError(f"{what} between orbits {r} and {c}")
+    rows, cols, values = matrix
+    # a word changes the excitation number by a fixed amount: 0 if it is symmetric
+    shift = parity[rows[0]] ^ parity[cols[0]] if rows.size else 0
+    symmetric = _matrix(sector, matrix).is_symmetric()
+    step, observe = _parity_blocks(drive, parity, 1), _parity_blocks(matrix, parity, shift)
+    transposed = observe if symmetric else _parity_blocks((cols, rows, values), parity, shift)
+    totals = [0] * (max_ad + 1)
+    kets, kets_t = [], []  # O v_b and O^T v_b for b <= jmax
+    v = [1] + [0] * (parity.count(0) - 1)  # the vacuum: orbit 0, the first even one
+    for k in range(max_ad + 1):  # v = v_k, on the orbits of parity k mod 2
+        if k <= jmax:
+            kets.append(_matvec(observe[k & 1], v))
+            kets_t.append(_matvec(transposed[k & 1], v) if not symmetric else kets[-1])
+        for b in range((k ^ shift) & 1, min(k, max_ad - k) + 1, 2):  # the pairs (k, b) that meet
+            term = (-1) ** b * sum(map(operator.mul, v, kets[b]))  # m = b: v_k . O v_b
+            if b < k:  # m = k: v_b . O v_k = O^T v_b . v_k, the same for a symmetric O
+                term += term if symmetric else (-1) ** k * sum(map(operator.mul, v, kets_t[b]))
+            totals[k + b] += math.comb(k + b, b) * term
+        if k < max_ad:
+            v = _matvec(step[k & 1], v)
 
     norm = Fraction(1, model.size) if obs.kind == "density" else Fraction(1)
-    ad_expectations = {}
-    for M in range(max_ad + 1):
-        total = 0
-        for m in range(M + 1):
-            total += (-1) ** m * math.comb(M, m) * dot(vs[M - m], ovs[m])
-        ad_expectations[M] = Fraction(total) * norm
+    ad_expectations = {M: Fraction(total) * norm for M, total in enumerate(totals)}
     coefficients = [
         Fraction((-1) ** j) * ad_expectations[2 * j] / math.factorial(2 * j)
         for j in range(1, jmax + 1)
@@ -369,8 +389,8 @@ def spectral_checks(model: ModelSpec, sample_times=(0.3, 1.1, 2.7)) -> SpectralR
     """Collect the parity/spectral witnesses for one lattice.
 
     They need the whole spectrum, which falls into Bloch blocks.  The site
-    permutation g of `basis._cyclic_walk` (the rotation by one site on a
-    ring, order m = L; the reflection on a line, m = 2) commutes with the
+    permutation g of the cyclic `basis._sector` (the rotation by one site on
+    a ring, order m = L; the reflection on a line, m = 2) commutes with the
     drive and with the parity, so the normalised Bloch sums
     |r, k> = n_r^(-1/2) sum_l e^(-2 pi i k l / m) g^l |first state of r>,
     nonzero for the orbits with k n_r = 0 (mod m), span the blockade space,
@@ -391,12 +411,10 @@ def spectral_checks(model: ModelSpec, sample_times=(0.3, 1.1, 2.7)) -> SpectralR
     that is not symmetric, or does not commute with g, before any `eigh`.
     """
     _check_dense_budget(model)
-    sector = _cyclic_walk(model)
-    edges = sector.bloch_edges()  # g and the symmetry of the drive checked in integers
-    m, sizes = sector.order, np.asarray(sector.sizes)
-    src, dst, power = np.array(list(edges), dtype=np.int64).reshape(-1, 3).T
-    counts = np.array(list(edges.values()), dtype=float)
-    odd = np.array([bin(s).count("1") % 2 for s in sector.firsts], dtype=bool)
+    sector = _sector(model, "cyclic")
+    src, dst, power, counts = sector.bloch_edges()  # g and the symmetry checked in integers
+    m, sizes = sector.order, sector.sizes
+    odd = np.array([bin(s).count("1") % 2 for s in sector.firsts.tolist()], dtype=bool)
     # P H + H P = 0 when every flip edge joins opposite parities, in integers
     anti = bool(np.all(odd[src] != odd[dst]))
     hops = counts * np.sqrt(sizes[src] / sizes[dst])
@@ -420,7 +438,7 @@ def spectral_checks(model: ModelSpec, sample_times=(0.3, 1.1, 2.7)) -> SpectralR
             signed = [sign * float(t) for t in sample_times for sign in (1.0, -1.0)]
             coordinates = _coordinates(sector.observable(density()), sector.sizes)
             n2, (re,), _ = _expectations(energies, vectors, [coordinates], signed)
-    dim = sector.basis.dimension
+    dim = sector.states.size
     energies = np.sort(np.concatenate(spectra))
     if energies.size != dim:
         raise ArithmeticError(f"Bloch blocks of {model} hold {energies.size} states, not {dim}")

@@ -10,7 +10,8 @@ the pytest summary; see that test's reason string for the analysis.
 import pytest
 
 from blockade import basis, verify
-from blockade.dynamics import spectral_checks
+from blockade.dynamics import spectral_checks, taylor_oracle
+from blockade.series import density
 from blockade.words import ring
 
 
@@ -60,21 +61,25 @@ def c6_rows() -> dict:
 def test_c6_lists_an_asymmetric_drive(monkeypatch):
     # raising k also needs k + 2 unexcited: the drive builder refuses it on
     # every lattice, and C6 lists each refusal instead of stopping
-    def raise_needs_k_plus_2_ground(s, masks):
-        return [
-            s ^ 1 << k for k, m in enumerate(masks) if s >> k & 1 or not s & (m | 1 << k + 2)
-        ]
+    def raise_needs_k_plus_2_ground(states, masks):
+        for k, m in enumerate(masks):
+            yield 1 << k, (states >> k & 1 == 1) | (states & (m | 1 << k + 2) == 0)
 
-    monkeypatch.setattr(basis, "_flip_neighbours", raise_needs_k_plus_2_ground)
+    monkeypatch.setattr(basis, "_flips", raise_needs_k_plus_2_ground)
     row = c6_rows()["density even in time: the drive is symmetric, exact integers"]
     assert not row.passed and "ring(4, 1)" in row.details
 
 
 def test_c6_parity_row_sees_a_parity_preserving_coupling(monkeypatch):
     # every state also coupled to itself: symmetric, but it keeps the parity
-    flips = basis._flip_neighbours
-    monkeypatch.setattr(basis, "_flip_neighbours", lambda s, masks: flips(s, masks) + [s])
+    flips = basis._flips
+    monkeypatch.setattr(
+        basis, "_flips", lambda states, masks: [*flips(states, masks), (0, states == states)]
+    )
     rep = spectral_checks(ring(6))
     assert rep.parity_anticommutes is False
     assert rep.spectrum_asymmetry > 1  # every level shifted up by 1
     assert not c6_rows()["parity anticommutes with the drive, exact integers"].passed
+    # the oracle keeps each power on one parity class, so it refuses
+    with pytest.raises(ValueError, match=r"drive of .* keeps the excitation parity"):
+        taylor_oracle(ring(6), density(), 3)

@@ -11,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockade.basis
+import blockade.dynamics
 from blockade.basis import (
     SparseIntMatrix,
+    _matrix,
+    _sector,
     blockade_dimension,
     build_basis,
     drive_matrix_recursive,
@@ -23,19 +26,36 @@ from blockade.basis import (
     parity_matrix,
     total_number_matrix_recursive,
 )
-from blockade.dynamics import _sector_eigensystem, evolve, spectral_checks
-from blockade.series import correlation, density, general_word, local_number
+from blockade.dynamics import _sector_eigensystem, evolve, spectral_checks, taylor_oracle
+from blockade.series import _observable_word, correlation, density, general_word, local_number
 from blockade.words import (
     LOWER,
     NUM,
     PROJ,
     RAISE,
     Letter,
+    fold_word,
     infinite_chain,
     line,
     make_word,
     ring,
 )
+
+
+FLIPS = blockade.basis._flips  # the drive's flip rule, before any test patches it
+
+
+def raise_needs_k_plus_2_ground(states, masks):
+    """The flip rule with one change: raising site k also needs site k + 2
+    unexcited (never across the seam), which breaks every lattice symmetry."""
+    for k, m in enumerate(masks):
+        yield 1 << k, (states >> k & 1 == 1) | (states & (m | 1 << k + 2) == 0)
+
+
+def site_one_never_flips(states, masks):
+    """The flip rule without site 1: the drive stays symmetric, but it no
+    longer commutes with the rotation or the reflection."""
+    return [(p, allowed) for p, allowed in FLIPS(states, masks) if p != 1]
 
 
 def brute_force_states(L, lam, cyclic):
@@ -194,22 +214,15 @@ class TestOrbitSector:
 
     @pytest.mark.parametrize("model", [ring(8), line(9)])
     def test_asymmetric_drive_refused(self, model, monkeypatch):
-        def raise_needs_k_plus_2_ground(s, masks):
-            return [
-                s ^ 1 << k
-                for k, m in enumerate(masks)
-                if s >> k & 1 or not s & (m | 1 << k + 2)
-            ]
-
-        monkeypatch.setattr(blockade.basis, "_flip_neighbours", raise_needs_k_plus_2_ground)
-        with pytest.raises(ValueError, match="is not symmetric between orbits"):
+        monkeypatch.setattr(blockade.basis, "_flips", raise_needs_k_plus_2_ground)
+        with pytest.raises(ValueError, match="is not symmetric under its lattice permutation"):
             orbit_sector(model, density())
 
         def refuse(*args):
             raise AssertionError("eigh ran on an asymmetric drive")
 
-        # `evolve` (through the orbit walk) and `spectral_checks` (full space)
-        # refuse before `eigh`, which reads one triangle
+        # `evolve` (through the orbit sector) and `spectral_checks` (Bloch
+        # blocks) refuse before `eigh`, which reads one triangle
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         _sector_eigensystem.cache_clear()  # so the drive is really rebuilt
         for route in (lambda: evolve(model, density(), [0.5]), lambda: spectral_checks(model)):
@@ -224,16 +237,38 @@ class TestOrbitSector:
         sizes = range(lam + 1 if topology == "ring" else 1, 15)
         for L in sizes:
             model = ring(L, lam) if topology == "ring" else line(L, lam)
-            sector = blockade.basis._orbit_walk(model)
-            states, orbit_of = sector.basis.states, sector.orbit_of
+            sector = _sector(model, "lattice")
+            orbit = sector.orbit.tolist()
+            basis = build_basis(model)
             for obs in placed_observables(model):
                 want: dict = {}
-                for (i, j), v in observable_matrix(model, sector.basis, obs).entries.items():
-                    key = (orbit_of[states[i]], orbit_of[states[j]])
+                for (i, j), v in observable_matrix(model, basis, obs).entries.items():
+                    key = (orbit[i], orbit[j])
                     want[key] = want.get(key, 0) + v
-                got = sector.observable(obs)
+                got = _matrix(sector, sector.observable(obs))
                 assert got.dimension == len(sector.sizes)
                 assert list(got.entries.items()) == list(want.items()), (model, obs)
+
+    @pytest.mark.parametrize("rule", [raise_needs_k_plus_2_ground, site_one_never_flips])
+    @pytest.mark.parametrize("model", [ring(4), ring(5), ring(6), ring(7), ring(8), line(4)])
+    def test_symmetry_breaking_flips_refused_on_every_route(self, monkeypatch, rule, model):
+        # orbit counts taken from each orbit's first state alone miss the
+        # k + 2 rule on rings 4-7 and line 4; the check on every state does not
+        def refuse(*args):
+            raise AssertionError("eigh or a big-integer product ran")
+
+        monkeypatch.setattr(blockade.basis, "_flips", rule)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(blockade.dynamics, "_matvec", refuse)
+        _sector_eigensystem.cache_clear()
+        message = re.escape(f"drive of {model} is not symmetric under its lattice permutation")
+        for route in (
+            lambda: orbit_sector(model, density()),
+            lambda: taylor_oracle(model, density(), 2),
+            lambda: evolve(model, density(), [0.5]),
+        ):
+            with pytest.raises(ValueError, match=message):
+                route()
 
     def test_vacuum_is_orbit_zero(self):
         # the vacuum's L drive neighbours are the single excitations
@@ -245,21 +280,28 @@ class TestOrbitSector:
     @pytest.mark.parametrize("model", [ring(8), ring(9, 2), line(9), line(8, 3)])
     def test_cyclic_walk_records_each_power(self, model):
         # state = g^l(first state of its orbit), g read from the site strings
-        sector = blockade.basis._cyclic_walk(model)
+        sector = _sector(model, "cyclic")
 
         def g(s):
-            sites = sector.basis.state_string(s)  # site k at position k - 1
+            sites = f"{s:0{model.size}b}"[::-1]  # site k at position k - 1
             image = sites[-1] + sites[:-1] if model.topology == "ring" else sites[::-1]
             return int(image[::-1], 2)
 
         assert sector.firsts[0] == 0 and sector.sizes[0] == 1  # the vacuum, alone
         assert sum(sector.sizes) == blockade_dimension(model)
-        for s, r in sector.orbit_of.items():
-            t = sector.firsts[r]
-            for _ in range(sector.power[s]):
+        for s, r, l in zip(*(a.tolist() for a in (sector.states, sector.orbit, sector.power))):
+            t = int(sector.firsts[r])
+            for _ in range(l):
                 t = g(t)
-            assert t == s and sector.power[s] < sector.sizes[r]
+            assert t == s and l < sector.sizes[r]
             assert sector.order % sector.sizes[r] == 0
+
+    @pytest.mark.parametrize("model, orbits", [(ring(22), 1022), (ring(26), 5536)])
+    def test_reach_past_the_dense_budget(self, model, orbits):
+        # the Burnside counts of the nearest-neighbour ring sectors
+        drive, number = orbit_sector(model, density())
+        assert drive.dimension == number.dimension == orbits
+        assert sum(v for (r, c), v in drive.entries.items() if r == 0) == model.size
 
 
 class TestRecursiveOrdering:
@@ -423,11 +465,13 @@ class TestRingTranslation:
         def shift(s):
             return (s << 1 | s >> (L - 1)) & mask
 
+        orbit = dict(zip(b.states, _sector(model, "lattice").orbit.tolist()))
         for s in b.states:
             rotations = [s]
             for _ in range(L - 1):
                 rotations.append(shift(rotations[-1]))
-            assert set(rotations) <= blockade.basis._orbit(s, model)
+            images = {orbit[t] for t in ref_orbit(s, model)}
+            assert {orbit[t] for t in rotations} == {orbit[s]} == images
         h = hamiltonian_matrix(model, b)
         perm = [b.index[shift(s)] for s in b.states]
         shifted = {(perm[r], perm[c]): v for (r, c), v in h.entries.items()}
@@ -452,3 +496,148 @@ class TestSparseIntMatrix:
     def test_dump_format(self):
         m = SparseIntMatrix(2, {(0, 1): 1, (1, 0): 1})
         assert dumps_matrix(m) == "1 2 1\n2 1 1"
+
+
+# ---------------------------------------------------------------------------
+# set-walk reference: the orbit builders before the array sector, one state
+# and one flip at a time over Python sets and dicts
+# ---------------------------------------------------------------------------
+
+
+def ref_flip_neighbours(s, masks):
+    return [s ^ 1 << k for k, m in enumerate(masks) if s >> k & 1 or not s & m]
+
+
+def ref_orbit(occupation, model):
+    L = model.size
+    images = {occupation, int(f"{occupation:0{L}b}"[::-1], 2)}
+    if model.topology == "ring":
+        mask = (1 << L) - 1
+        images = {(s << d | s >> (L - d)) & mask for s in images for d in range(L)}
+    return images
+
+
+def ref_orbit_walk(model):
+    orbit_of, firsts, sizes = {}, [], []
+    for s in build_basis(model).states:
+        if s not in orbit_of:
+            members = ref_orbit(s, model)
+            for t in members:
+                orbit_of[t] = len(firsts)
+            firsts.append(s)
+            sizes.append(len(members))
+    return orbit_of, firsts, sizes
+
+
+def ref_cyclic_walk(model):
+    L = model.size
+    if model.topology == "ring":
+        perm = [(k + 1) % L for k in range(L)]
+    else:
+        perm = [L - 1 - k for k in range(L)]
+    orbit_of, power, firsts, sizes = {}, {}, [], []
+    for s in build_basis(model).states:
+        if s in orbit_of:
+            continue
+        t, l = s, 0
+        while t not in orbit_of:  # until g^l(s) is s again
+            orbit_of[t], power[t] = len(firsts), l
+            t, l = sum(1 << g for k, g in enumerate(perm) if t >> k & 1), l + 1
+        firsts.append(s)
+        sizes.append(l)
+    return orbit_of, firsts, sizes, power
+
+
+def ref_drive(model, orbit_of, firsts, sizes):
+    drive: dict = {}
+    for r, s in enumerate(firsts):
+        for t in ref_flip_neighbours(s, model.neighborhood_masks):
+            key = (r, orbit_of[t])
+            drive[key] = drive.get(key, 0) + 1
+    assert all(sizes[r] * v == sizes[c] * drive.get((c, r), 0) for (r, c), v in drive.items())
+    return drive
+
+
+def ref_bloch_edges(model, orbit_of, sizes, power):
+    edges: list = []
+    for s in build_basis(model).states:  # the first state of an orbit comes first
+        seen = sorted(
+            (orbit_of[t], (power[t] - power[s]) % sizes[orbit_of[t]])
+            for t in ref_flip_neighbours(s, model.neighborhood_masks)
+        )
+        if not power[s]:
+            edges.append(seen)
+        assert seen == edges[orbit_of[s]]
+    counts: dict = {}
+    for r, seen in enumerate(edges):
+        for c, l in seen:
+            counts[r, c, l] = counts.get((r, c, l), 0) + 1
+    assert all(counts.get((c, r, -l % sizes[r])) == v for (r, c, l), v in counts.items())
+    return counts
+
+
+def ref_observable(model, orbit_of, obs):
+    sums: dict = {}
+    states = build_basis(model).states
+    if obs.kind == "density":
+        for s in states:
+            key = (orbit_of[s],) * 2
+            sums[key] = sums.get(key, 0) + bin(s).count("1")
+        return {k: v for k, v in sums.items() if v}
+    packed = fold_word(_observable_word(obs, model), model)
+    if packed is not None:
+        S, O, I = packed
+        for s in states:
+            if s & S == I:
+                r = orbit_of.get(s & ~S | O)
+                if r is not None:
+                    key = (r, orbit_of[s])
+                    sums[key] = sums.get(key, 0) + 1
+    return sums
+
+
+def lattices(max_size=14):
+    for lam in (1, 2, 3):
+        for L in range(lam + 1, max_size + 1):
+            yield ring(L, lam)
+        for L in range(1, max_size + 1):
+            yield line(L, lam)
+
+
+class TestArraySectorAgainstSetWalk:
+    def test_lattice_sector(self):
+        for model in lattices():
+            orbit_of, firsts, sizes = ref_orbit_walk(model)
+            sector = _sector(model, "lattice")
+            assert sector.firsts.tolist() == firsts and sector.sizes.tolist() == sizes, model
+            assert sector.orbit.tolist() == [orbit_of[s] for s in sector.states.tolist()]
+            drive = _matrix(sector, sector.drive())
+            assert list(drive.entries.items()) == list(ref_drive(model, orbit_of, firsts, sizes).items())
+            for obs in placed_observables(model):
+                got = _matrix(sector, sector.observable(obs)).entries
+                assert list(got.items()) == list(ref_observable(model, orbit_of, obs).items())
+
+    def test_cyclic_sector(self):
+        for model in lattices():
+            orbit_of, firsts, sizes, power = ref_cyclic_walk(model)
+            sector = _sector(model, "cyclic")
+            assert sector.firsts.tolist() == firsts and sector.sizes.tolist() == sizes, model
+            states = sector.states.tolist()
+            assert sector.orbit.tolist() == [orbit_of[s] for s in states]
+            assert sector.power.tolist() == [power[s] for s in states]
+            got = zip(*(a.tolist() for a in sector.bloch_edges()))
+            want = ref_bloch_edges(model, orbit_of, sizes, power)
+            assert [((r, c, l), v) for r, c, l, v in got] == list(want.items())
+            for obs in placed_observables(model):
+                got = _matrix(sector, sector.observable(obs)).entries
+                assert list(got.items()) == list(ref_observable(model, orbit_of, obs).items())
+
+    def test_full_space(self):
+        for model in lattices(12):
+            basis = build_basis(model)
+            singles = basis.index, basis.states, [1] * basis.dimension
+            drive = hamiltonian_matrix(model, basis)
+            assert list(drive.entries.items()) == list(ref_drive(model, *singles).items())
+            for obs in placed_observables(model):
+                got = observable_matrix(model, basis, obs).entries
+                assert list(got.items()) == list(ref_observable(model, basis.index, obs).items())

@@ -53,6 +53,16 @@ class TestCoeffs:
         )
         assert rc == 0
 
+    def test_oracle_reaches_ring_26(self, capsys):
+        # the array sector: 5,536 orbits of 271,443 states
+        rc, out = run_cli(
+            capsys, "coeffs", "--topology", "ring", "--L", "26", "--jmax", "1", "--with-oracle"
+        )
+        assert rc == 0
+        assert [(r["order"], r["value"], r["universal"]) for r in csv_rows(out)] == [
+            ("0", "0/1", "true"), ("1", "0/1", "true"), ("2", "1/1", "true"),
+        ]
+
     def test_corrupted_product_table_fails_oracle_check(self, capsys, monkeypatch):
         # the packed letter codes define every letter product; give n the
         # code of m and the symbolic route disagrees with the integer matrix

@@ -49,15 +49,14 @@ def cache_sizes():
 
 @pytest.fixture
 def cache_size(monkeypatch):
-    """Make any basis, state enumeration, orbit walk or orbit sector fail;
-    return the eigensystem cache size before."""
+    """Make any basis, state enumeration or orbit sector fail; return the
+    eigensystem cache size before."""
 
     def refuse(*args):
         raise AssertionError(f"built {args} before refusing")
 
-    monkeypatch.setattr(dynamics, "orbit_sector", refuse)
-    monkeypatch.setattr(dynamics, "_orbit_walk", refuse)
-    monkeypatch.setattr(dynamics, "_cyclic_walk", refuse)
+    monkeypatch.setattr(dynamics, "_sector", refuse)
+    monkeypatch.setattr(basis, "_sector", refuse)
     monkeypatch.setattr(basis, "build_basis", refuse)
     monkeypatch.setattr(basis, "_admissible_states", refuse)
     return cache_sizes()
@@ -350,8 +349,25 @@ class TestTaylorOracle:
         assert got == [Fraction(1), Fraction(-2, 3)]
 
     def test_odd_orders_exactly_zero(self):
-        orc = taylor_oracle(ring(6), density(), 3)
-        assert all(orc.ad_expectations[m] == 0 for m in (1, 3, 5))
+        # symmetric observables: only even orders are summed
+        for model in (ring(6), ring(10, 2), line(9)):
+            for obs in (density(), local_number(2), correlation(3, site=1)):
+                orc = taylor_oracle(model, obs, 3)
+                odd = [orc.ad_expectations[m] for m in (1, 3, 5)]
+                assert all(type(v) is Fraction and v == 0 for v in odd), (model, obs)
+                assert orc.ad_expectations == full_space_ad_expectations(model, obs, 3)
+
+    @pytest.mark.parametrize("model", [ring(10, 2), line(9)])
+    @pytest.mark.parametrize(
+        "letters", [{1: RAISE}, {2: RAISE, 4: Letter.LOWER}], ids=["raise", "hop"]
+    )
+    def test_words_that_are_not_symmetric_take_the_full_sum(self, model, letters):
+        # the lone raising word has non-zero odd orders, the hopping word
+        # has its terms m and M - m unequal; every order equals the full space
+        obs = general_word(make_word(letters))
+        got = taylor_oracle(model, obs, 4).ad_expectations
+        assert got == full_space_ad_expectations(model, obs, 4)
+        assert any(got[m] for m in ((1, 3, 5, 7) if len(letters) == 1 else (2, 4, 6, 8)))
 
     @pytest.mark.parametrize("lam, jmax", [(1, 5), (2, 3)])
     @pytest.mark.parametrize("L", [3, 6, 9])
@@ -523,9 +539,9 @@ class TestSpectralChecks:
     def test_drive_that_breaks_the_lattice_symmetry_refused(self, monkeypatch, model):
         # site 1 never flips: the drive stays symmetric, but it no longer
         # commutes with the rotation or the reflection the blocks stand on
-        flips = basis._flip_neighbours
+        flips = basis._flips
         monkeypatch.setattr(
-            basis, "_flip_neighbours", lambda s, masks: [t for t in flips(s, masks) if s ^ t != 1]
+            basis, "_flips", lambda states, masks: [(p, a) for p, a in flips(states, masks) if p != 1]
         )
         assert hamiltonian_matrix(model, build_basis(model)).is_symmetric()
 
@@ -535,6 +551,27 @@ class TestSpectralChecks:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         with pytest.raises(ValueError, match=re.escape(f"drive of {model} is not symmetric under")):
             spectral_checks(model)
+
+    @pytest.mark.parametrize("model", [ring(8), line(9)])
+    def test_asymmetric_drive_that_keeps_the_lattice_symmetry_refused(self, monkeypatch, model):
+        # a state with two or more excitations never lowers one: the flips
+        # commute with every lattice symmetry, but the drive is not symmetric
+        flips = basis._flips
+
+        def crowded_never_lower(states, masks):
+            crowded = sum(states >> k & 1 for k in range(len(masks))) > 1
+            return [(p, a & ~(crowded & (states & p != 0))) for p, a in flips(states, masks)]
+
+        def refuse(*args):
+            raise AssertionError("eigh ran on an asymmetric drive")
+
+        monkeypatch.setattr(basis, "_flips", crowded_never_lower)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        dynamics._sector_eigensystem.cache_clear()
+        message = re.escape(f"drive of {model} is not symmetric between orbits")
+        for route in (lambda: spectral_checks(model), lambda: evolve(model, density(), [0.5])):
+            with pytest.raises(ValueError, match=message):
+                route()
 
     def test_open_chain_witnesses(self):
         rep = spectral_checks(line(8))
