@@ -10,7 +10,7 @@ watch the window widen further.
 import numpy as np
 
 from blockade.dynamics import evolve, g2, taylor_oracle, universal_window
-from blockade.series import density, eval_even_series
+from blockade.series import density, eval_even_series, universality_threshold
 from blockade.words import line, ring
 
 L = 12
@@ -20,7 +20,8 @@ ring_vals = evolve(ring(L), density(), times).values
 line_vals = evolve(line(L), density(), times).values
 
 # size-free series truncated at the certified threshold of this ring
-coeffs = taylor_oracle(ring(L), density(), L - 1).coefficients
+jmax = universality_threshold(ring(L), density())
+coeffs = taylor_oracle(ring(L), density(), jmax).coefficients
 
 print(f"density on {L} sites: ring vs open chain vs truncated series")
 print(f"{'t':>5} {'ring':>10} {'chain':>10} {'series':>10}")

@@ -31,7 +31,8 @@ blocks of `dynamics.spectral_checks`) and the whole lattice group.  Each
 state's least image, taken by array shifts and bit reversals, is the first
 state of its orbit.  Every builder reads the drive's flips from one array
 rule, `_flips`, and checks in integers on every state that they commute
-with the group, and that the orbit drive is symmetric.
+with the group, and that the orbit drive is symmetric.  Every reader of an
+orbit's excitation number takes it from `_OrbitSector.ones`.
 
 States are stored as occupation bitsets (bit k-1 set means site k excited,
 so the printed string for the integer 5 on four sites is 1010).  Operator
@@ -249,6 +250,11 @@ class _OrbitSector:
     order: int  # m, the order of the first generator g (1: the trivial group)
     power: np.ndarray  # cyclic groups: l with state = g^l(first state of its orbit)
 
+    @cached_property
+    def ones(self) -> np.ndarray:
+        """The number of excited sites of each orbit, read from its first state."""
+        return sum(self.firsts >> k & 1 for k in range(self.model.size))
+
     def _check_generators(self) -> None:
         """Refuse flips that do not commute with each generator g, in
         integers on every state: s flips by p exactly when g(s) flips by
@@ -323,9 +329,8 @@ class _OrbitSector:
         that leave the subspace are projected to zero rather than flagged."""
         n, states = self.sizes.size, self.states
         if obs.kind == "density":
-            ones = np.array([bin(s).count("1") for s in self.firsts.tolist()], dtype=np.int64)
-            r = np.flatnonzero(ones)
-            return r, r, self.sizes[r] * ones[r]
+            r = np.flatnonzero(self.ones)
+            return r, r, self.sizes[r] * self.ones[r]
         packed = fold_word(_observable_word(obs, self.model), self.model)
         if packed is None:
             return (np.zeros(0, dtype=np.int64),) * 3
@@ -362,51 +367,38 @@ def hamiltonian_matrix(model: ModelSpec, basis: BlockadeBasis) -> SparseIntMatri
 
 def drive_matrix_recursive(L: int) -> SparseIntMatrix:
     """Drive matrix of the open nearest-neighbour chain via the block
-    recursion: the L-site matrix couples the (L-1)-site block to the
-    (L-2)-site block by an identity pinned to the states whose last site was
-    already ground."""
-    dims = {0: 1, 1: 2, 2: 3}
-    for n in range(3, L + 1):
-        dims[n] = dims[n - 1] + dims[n - 2]
-    h1 = {(0, 1): 1, (1, 0): 1}
-    h2 = {(0, 1): 1, (1, 0): 1, (0, 2): 1, (2, 0): 1}
-    if L == 1:
-        return SparseIntMatrix(2, h1)
-    cur, prev = h2, h1
-    if L == 2:
-        return SparseIntMatrix(3, h2)
-    for n in range(3, L + 1):
-        top = dims[n - 1]
+    recursion from the 0- and 1-site chains: the n-site matrix couples the
+    (n-1)-site block to the (n-2)-site block by an identity pinned to the
+    states whose last site was already ground."""
+    if L < 0:
+        raise ValueError(f"a chain has at least 0 sites, not {L}")
+    chains = [(1, {}), (2, {(0, 1): 1, (1, 0): 1})]  # (dimension, entries)
+    for _ in range(L - 1):
+        (low, prev), (top, cur) = chains
         nxt = dict(cur)
         for (r, c), v in prev.items():
             nxt[(top + r, top + c)] = v
-        for i in range(dims[n - 2]):
+        for i in range(low):
             nxt[(i, top + i)] = 1
             nxt[(top + i, i)] = 1
-        prev, cur = cur, nxt
-    return SparseIntMatrix(dims[L], cur)
+        chains = [(top, cur), (top + low, nxt)]
+    return SparseIntMatrix(*chains[min(L, 1)])
 
 
 def total_number_matrix_recursive(L: int) -> SparseIntMatrix:
     """Total excitation counter of the open nearest-neighbour chain via the
-    block recursion (the appended pair of the second block adds one)."""
-    dims = {0: 1, 1: 2, 2: 3}
-    for n in range(3, L + 1):
-        dims[n] = dims[n - 1] + dims[n - 2]
-    n1 = {(1, 1): 1}
-    n2 = {(1, 1): 1, (2, 2): 1}
-    if L == 1:
-        return SparseIntMatrix(2, n1)
-    cur, prev = n2, n1
-    if L == 2:
-        return SparseIntMatrix(3, n2)
-    for n in range(3, L + 1):
-        top = dims[n - 1]
+    block recursion from the 0- and 1-site chains (the appended pair of the
+    second block adds one)."""
+    if L < 0:
+        raise ValueError(f"a chain has at least 0 sites, not {L}")
+    chains = [(1, {}), (2, {(1, 1): 1})]  # (dimension, entries)
+    for _ in range(L - 1):
+        (low, prev), (top, cur) = chains
         nxt = dict(cur)
-        for i in range(dims[n - 2]):
+        for i in range(low):
             nxt[(top + i, top + i)] = prev.get((i, i), 0) + 1
-        prev, cur = cur, nxt
-    return SparseIntMatrix(dims[L], cur)
+        chains = [(top, cur), (top + low, nxt)]
+    return SparseIntMatrix(*chains[min(L, 1)])
 
 
 def observable_matrix(
@@ -416,8 +408,9 @@ def observable_matrix(
     observable of `_OrbitSector` on singleton orbits.
 
     The per-site density observable is represented by the *total* counter
-    (consumers divide by L).  For open nearest-neighbour chains acceptance
-    check C8 compares it with its block recursion.
+    (consumers scale it by `series.observable_scale`).  For open
+    nearest-neighbour chains acceptance check C8 compares it with its block
+    recursion.
     """
     sector = _sector(model, "trivial", basis)
     return _matrix(sector, sector.observable(obs))
@@ -425,13 +418,9 @@ def observable_matrix(
 
 def parity_matrix(basis: BlockadeBasis) -> SparseIntMatrix:
     """Diagonal excitation-number parity, (-1)^(number of excited sites)."""
-    return SparseIntMatrix(
-        basis.dimension,
-        {
-            (i, i): -1 if bin(s).count("1") % 2 else 1
-            for i, s in enumerate(basis.states)
-        },
-    )
+    sector = _sector(basis.model, "trivial", basis)
+    i = np.arange(sector.sizes.size)
+    return _matrix(sector, (i, i, 1 - 2 * (sector.ones & 1)))
 
 
 # ---------------------------------------------------------------------------

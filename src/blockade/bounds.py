@@ -17,9 +17,10 @@ Math. 5, 329 (1996)), which grows like ``ln a``.  Two bound families are used:
 
 where lam is the blockade range and ell the observable's length.  Because the
 certified-universal orders of a chain of L sites cancel exactly against the
-size-free series, summing the bound over the *uncertified* tail yields a
-certified envelope on the finite-size error; the envelope shrinks with L at a
-logarithmic rate governed by the omega products.
+size-free series, summing the bound over the *uncertified* tail (past
+`series.certified_order`) yields a certified envelope on the finite-size
+error; the envelope shrinks with L at a logarithmic rate governed by the
+omega products.
 
 Everything is evaluated in natural-log space (the bounds overflow any linear
 float representation by order j ~ 50) with factorials via lgamma, over whole
@@ -35,6 +36,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .series import certified_order
 
 __all__ = [
     "KappaValue",
@@ -102,6 +105,11 @@ def _solve(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"{res_tau.flat[i]:.2e}, {res_om.flat[i]:.2e}"
         )
     return tau, w, (a - tau) * log_tau
+
+
+def _check_range(lambda_b: int) -> None:
+    if lambda_b < 1:
+        raise ValueError(f"blockade range must be at least 1, not {lambda_b}")
 
 
 def kappa(a: float) -> KappaValue:
@@ -182,6 +190,7 @@ def coefficient_bound(
     length ``ell``.  Only j >= 1 is meaningful (the order-0 word coefficient
     is an expectation value, not a commutator count).
     """
+    _check_range(lambda_b)
     return float(_log_bounds(np.array([j]), lambda_b, ell, observable_class)[0])
 
 
@@ -250,22 +259,25 @@ def log_error_envelope(
     """Natural log of the certified finite-size error envelope at time t.
 
     The envelope sums the class bound over every order *not* certified
-    universal on a chain of L sites: density tails start at
-    j0 = (L-1)//lambda_b + 1 (so j0 = L for nearest-neighbour blockade), word
-    tails at n0 = (L-ell)//(2 lambda_b) + 1.  The nearest-neighbour density
+    universal on a chain of L >= 1 sites: the tail starts one order after
+    `series.certified_order`, at j0 = L for the nearest-neighbour density.
+    The nearest-neighbour density
     envelope uses the sharper omega-product form, which also obeys the clean
     consecutive-size ratio bound 36 t^2 / (omega_{2L-1} omega_{2L}).
 
     Returns -inf at t = 0.  This is a one-sided certificate: it bounds the
     true deviation from above, usually by a wide margin.
     """
+    _check_range(lambda_b)
+    if L < 1:
+        raise ValueError(f"an envelope needs at least one site, not L={L}")
     if not math.isfinite(t):
         raise ValueError("time must be finite")
     if t == 0.0:
         return float("-inf")
     abst = abs(t)
+    start = certified_order(L, lambda_b, ell, observable_class) + 1
     if observable_class == "density":
-        j0 = (L - 1) // lambda_b + 1
         if lambda_b == 1:
             # omega-product form; the term ratio is exactly 36 t^2 / (w w'),
             # decreasing because omega increases.
@@ -289,19 +301,19 @@ def log_error_envelope(
                 om = _solve(2 * j[:, None] + np.array([1, 2]))[1]
                 return t2 / (om[:, 0] * om[:, 1])
 
-            return _certified_tail_log(chunk_nn, ratio_nn, j0, max_terms, t)
+            return _certified_tail_log(chunk_nn, ratio_nn, start, max_terms, t)
 
         # kappa form for longer blockade ranges: 2 b_j t^(2j).  The ratio
         # majorant uses kappa_{a+2}/kappa_a <= tau(a+2)^2 <= tau(2j+2)^2 and
         # is monotone decreasing (tau(a)/a = 1/omega(a) decreases).
-        start, log_t_power = j0, 2.0 * math.log(abst)
+        log_t_power = 2.0 * math.log(abst)
 
         def ratio(j):
             tau = _solve(2.0 * j + 2)[0]
             return (6.0 * lambda_b * abst * tau) ** 2 / ((2 * j + 1) * (2 * j + 2))
 
-    elif observable_class == "word":
-        start, log_t_power = (L - ell) // (2 * lambda_b) + 1, math.log(abst)
+    else:  # word
+        log_t_power = math.log(abst)
         c = max(1, math.ceil(ell / (2.0 * lambda_b)))
 
         def ratio(n):
@@ -310,9 +322,6 @@ def log_error_envelope(
             # decreasing.
             tau = _solve(n + float(c))[0]
             return 12.0 * lambda_b * abst * tau / (n + 1)
-
-    else:
-        raise ValueError(f"unknown observable class {observable_class!r}")
 
     log2 = math.log(2.0)
 
@@ -354,6 +363,7 @@ def convergence_ratio(L: int, lambda_b: int = 1, ell: int = 1, t: float = 1.0) -
     Decreasing in L, which is the logarithmic-convergence statement in
     quantitative form.  Needs L - ell + 2*lambda_b > 0 and L > 2*lambda_b.
     """
+    _check_range(lambda_b)
     if L - ell + 2 * lambda_b <= 0:
         raise ValueError("chain too short for the requested observable length")
     if L <= 2 * lambda_b:

@@ -287,8 +287,8 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-# refused requests: reported in one line with exit status 2, not a traceback
-_REFUSALS = (ValueError, DimensionBudgetError, AdOrderBudgetError, EnvelopeDepthError)
+# refused requests and file errors: reported in one line with exit status 2, not a traceback
+_REFUSALS = (ValueError, DimensionBudgetError, AdOrderBudgetError, EnvelopeDepthError, OSError)
 
 
 def main(argv=None) -> int:

@@ -39,6 +39,8 @@ Spectral diagnostics exploit the excitation-parity anticommutation of the
 drive: the spectrum is symmetric about zero, every eigenvector away from zero
 energy splits its weight equally between even and odd excitation numbers, and
 expectation values starting from the vacuum are even in time.
+Every route reads the density's 1/L from `series.observable_scale` and an
+orbit's excitation number from `basis._OrbitSector.ones`.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .series import (
     correlation_base_site,
     density,
     local_number,
+    observable_scale,
 )
 from .words import ModelSpec, fold_word
 
@@ -85,6 +88,7 @@ ORACLE_WORK_BUDGET = 2_000_000  # (ad order) x (dimension)
 _IMAG_TOL = 1e-10
 _NORM_TOL = 1e-12
 _BLOCK_POINTS = 128  # time points per product: memory stays O(dimension x block)
+_SAMPLE_TIMES = (0.3, 1.1, 2.7)  # where `spectral_checks` reads the norm and the evenness
 
 
 class DimensionBudgetError(ValueError):
@@ -114,10 +118,9 @@ class EvolutionResult:
 class TaylorOracleResult:
     """Exact nested-commutator expectations and the derived coefficients.
 
-    ``ad_expectations[M]`` is the exact <ad^M(O)> for M = 0..2*jmax (for the
-    per-site density O is the total counter and the values are per site, i.e.
-    divided by L).  ``coefficients[j]`` is the exact coefficient of t^(2j),
-    j = 1..jmax.
+    ``ad_expectations[M]`` is the exact <ad^M(O)> for M = 0..2*jmax, scaled
+    by `series.observable_scale` (per site for the density).
+    ``coefficients[j]`` is the exact coefficient of t^(2j), j = 1..jmax.
     """
 
     model: ModelSpec
@@ -226,7 +229,7 @@ def _evolved(model: ModelSpec, observables: list[ObservableSpec], times):
         fold_word(_observable_word(obs, model), model)
     sector, energies, vectors = _sector_eigensystem(model)
     matrices = [sector.observable(obs) for obs in observables]
-    norms = [1.0 / model.size if obs.kind == "density" else 1.0 for obs in observables]
+    norms = [float(observable_scale(obs, model)) for obs in observables]
     vacuum = [int(v[(r == 0) & (c == 0)].sum()) for r, c, v in matrices]  # orbit 0, alone
     values = [[e * n] * len(times) for e, n in zip(vacuum, norms)]
     later = [i for i, t in enumerate(times) if t != 0.0]
@@ -301,11 +304,12 @@ def taylor_oracle(model: ModelSpec, obs: ObservableSpec, jmax: int) -> TaylorOra
     fold_word(_observable_word(obs, model), model)
     sector = _sector(model, "lattice")
     drive, matrix = sector.drive(), sector.observable(obs)
-    parity = [bin(s).count("1") & 1 for s in sector.firsts.tolist()]
-    for r, c in zip(drive[0].tolist(), drive[1].tolist()):
-        if parity[r] == parity[c]:
-            what = f"drive of {model} keeps the excitation parity"
-            raise ValueError(f"{what} between orbits {r} and {c}")
+    odd = sector.ones & 1
+    kept = np.flatnonzero(odd[drive[0]] == odd[drive[1]])
+    if kept.size:
+        what = f"drive of {model} keeps the excitation parity"
+        raise ValueError(f"{what} between orbits {drive[0][kept[0]]} and {drive[1][kept[0]]}")
+    parity = odd.tolist()
     rows, cols, values = matrix
     # a word changes the excitation number by a fixed amount: 0 if it is symmetric
     shift = parity[rows[0]] ^ parity[cols[0]] if rows.size else 0
@@ -327,8 +331,8 @@ def taylor_oracle(model: ModelSpec, obs: ObservableSpec, jmax: int) -> TaylorOra
         if k < max_ad:
             v = _matvec(step[k & 1], v)
 
-    norm = Fraction(1, model.size) if obs.kind == "density" else Fraction(1)
-    ad_expectations = {M: Fraction(total) * norm for M, total in enumerate(totals)}
+    scale = observable_scale(obs, model)
+    ad_expectations = {M: Fraction(total) * scale for M, total in enumerate(totals)}
     coefficients = [
         Fraction((-1) ** j) * ad_expectations[2 * j] / math.factorial(2 * j)
         for j in range(1, jmax + 1)
@@ -385,7 +389,7 @@ class SpectralReport:
     zero_mode: bool | None           # smallest |E| < 1e-8 (None if dim is even)
 
 
-def spectral_checks(model: ModelSpec, sample_times=(0.3, 1.1, 2.7)) -> SpectralReport:
+def spectral_checks(model: ModelSpec) -> SpectralReport:
     """Collect the parity/spectral witnesses for one lattice.
 
     They need the whole spectrum, which falls into Bloch blocks.  The site
@@ -406,15 +410,16 @@ def spectral_checks(model: ModelSpec, sample_times=(0.3, 1.1, 2.7)) -> SpectralR
     on the even orbits of its block, and parity anticommutes with the drive
     when every orbit flip edge joins opposite parities.  The norm and the
     evenness are read from the real k = 0 block, where the vacuum is alone
-    in orbit 0.  Nothing is cached: each caller asks once per lattice.
-    Over-budget lattices are refused before the basis is built, and a drive
-    that is not symmetric, or does not commute with g, before any `eigh`.
+    in orbit 0, at ``_SAMPLE_TIMES`` and their negatives.  Nothing is
+    cached: each caller asks once per lattice.  Over-budget lattices are
+    refused before the basis is built, and a drive that is not symmetric,
+    or does not commute with g, before any `eigh`.
     """
     _check_dense_budget(model)
     sector = _sector(model, "cyclic")
     src, dst, power, counts = sector.bloch_edges()  # g and the symmetry checked in integers
     m, sizes = sector.order, sector.sizes
-    odd = np.array([bin(s).count("1") % 2 for s in sector.firsts.tolist()], dtype=bool)
+    odd = sector.ones % 2 == 1
     # P H + H P = 0 when every flip edge joins opposite parities, in integers
     anti = bool(np.all(odd[src] != odd[dst]))
     hops = counts * np.sqrt(sizes[src] / sizes[dst])
@@ -435,7 +440,7 @@ def spectral_checks(model: ModelSpec, sample_times=(0.3, 1.1, 2.7)) -> SpectralR
         if nonzero.any():
             weight_defect = max(weight_defect, float(np.max(np.abs(even_weight[nonzero] - 0.5))))
         if k == 0:  # every orbit, in orbit order: the vacuum first
-            signed = [sign * float(t) for t in sample_times for sign in (1.0, -1.0)]
+            signed = [sign * t for t in _SAMPLE_TIMES for sign in (1.0, -1.0)]
             coordinates = _coordinates(sector.observable(density()), sector.sizes)
             n2, (re,), _ = _expectations(energies, vectors, [coordinates], signed)
     dim = sector.states.size
@@ -444,7 +449,7 @@ def spectral_checks(model: ModelSpec, sample_times=(0.3, 1.1, 2.7)) -> SpectralR
         raise ArithmeticError(f"Bloch blocks of {model} hold {energies.size} states, not {dim}")
     asym = float(np.max(np.abs(energies + energies[::-1])))
     norm_defect = float(np.max(np.abs(n2 - 1.0), initial=0.0))
-    rho = re / model.size
+    rho = re / float(1 / observable_scale(density(), model))  # / L, not * a rounded 1/L
     evenness = float(np.max(np.abs(rho[0::2] - rho[1::2]), initial=0.0))
 
     zero_mode = bool(np.min(np.abs(energies)) < 1e-8) if dim % 2 else None
@@ -465,7 +470,10 @@ def universal_window(
 ) -> float | None:
     """First time on the grid where the two lattices' densities differ by more
     than ``epsilon`` (None if they never do).  The crossing time is a
-    grid-resolution statement, not a sharp threshold."""
+    grid-resolution statement, not a sharp threshold.  A non-finite or
+    non-positive ``epsilon`` is refused before anything is evolved."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     va = evolve(model_a, density(), times).values
     vb = evolve(model_b, density(), times).values
     for t, a, b in zip(times, va, vb):

@@ -25,10 +25,10 @@ letters the odd-order contributions carry one leftover factor of i, recorded
 by the ``odd_orders_imaginary`` flag.
 
 The per-site density is one series on every lattice: on a finite lattice
-that of the total counter ``sum_k n_k`` divided by L, the density of
-`basis.observable_matrix`, and on the infinite chain that of n_0.  On a ring
-the L counters fold into one translation class; on an open chain the words
-that neighbouring sites share merge into one term.
+that of the total counter ``sum_k n_k`` scaled by `observable_scale` (1/L),
+the one home of that rule for every route, and on the infinite chain that
+of n_0.  `certified_order` is the one home of the last certified order, read
+by the ``universal`` column and by the envelope tails of `blockade.bounds`.
 
 Everything here is stateless and deterministic.
 """
@@ -68,7 +68,9 @@ __all__ = [
     "density_coefficients",
     "correlation_coefficients",
     "word_coefficients",
+    "certified_order",
     "universality_threshold",
+    "observable_scale",
     "boundary_deficits",
     "eval_series",
     "eval_even_series",
@@ -174,8 +176,8 @@ def _observable_word(obs: ObservableSpec, model: ModelSpec) -> Word:
 def observable_operator(obs: ObservableSpec, model: ModelSpec) -> OperatorSum:
     """The word operator that seeds the series of ``obs``.  The per-site
     density is seeded on a finite lattice with the total counter
-    ``sum_k n_k`` (L one-letter words, integer coefficients), whose values
-    `_coefficients` divides by L, and on the infinite chain with n_0."""
+    ``sum_k n_k`` (L one-letter words, integer coefficients), and on the
+    infinite chain with n_0."""
     if obs.kind == "density" and model.size is not None:
         terms = {((k, NUM),): 1 for k in range(1, model.size + 1)}
     else:
@@ -187,6 +189,12 @@ def observable_operator(obs: ObservableSpec, model: ModelSpec) -> OperatorSum:
                 f"{model.blockade_range}{where}; the pair counter is identically zero"
             )
     return canonicalize(OperatorSum(terms), model)
+
+
+def observable_scale(obs: ObservableSpec, model: ModelSpec) -> Fraction:
+    """1/L for the per-site density on a finite lattice, whose operator is
+    the total counter ``sum_k n_k``, and 1 for any other observable."""
+    return Fraction(1, model.size if obs.kind == "density" and model.size is not None else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -262,34 +270,29 @@ def _coefficients(model: ModelSpec, obs: ObservableSpec, max_order: int) -> Seri
     1 or past the symbolic budget before any operator is built (the top
     order needs only ``max_order - 1`` commutators, see
     `_expectation_series`), expand the observable's seed operator order by
-    order, take the per-site density from the total counter's values and
-    attach the universality metadata."""
+    order, scale the values by `observable_scale` and attach the
+    universality metadata."""
     if max_order < 1:
         raise ValueError(f"the series needs at least order 1, not {max_order}")
     if max_order - 1 > DEFAULT_ORDER_BUDGET:
         raise AdOrderBudgetError(max_order - 1, DEFAULT_ORDER_BUDGET)
     vals = _expectation_series(observable_operator(obs, model), model, max_order)
-    if obs.kind == "density" and model.size is not None:
-        vals = [v / model.size for v in vals]
+    scale = observable_scale(obs, model)
     return SeriesCoefficients(
         observable=obs,
         model=model,
-        values=tuple(vals),
+        values=tuple(v * scale for v in vals),
         universal_up_to=_universal_order_limit(model, obs),
         odd_orders_imaginary=obs.kind == "word" and bool(single_count(obs.word) % 2),
     )
 
 
 def density_coefficients(model: ModelSpec, jmax: int) -> SeriesCoefficients:
-    """Exact density coefficients through t^(2*jmax).
-
-    On a finite lattice this is the series of the total counter
-    ``sum_k n_k`` divided by L, the density of `basis.observable_matrix`; on
-    the infinite chain it is the series of n_0.  A ring folds the L
-    counters into one translation class.  An open chain expands them as one
-    operator, in which words shared by neighbouring sites are one term, so
-    its cost grows linearly with L.
-    """
+    """Exact density coefficients through t^(2*jmax): those of the total
+    counter scaled by `observable_scale` on a finite lattice, of n_0 on the
+    infinite chain.  A ring folds the L counters into one translation class;
+    an open chain expands them as one operator, in which words shared by
+    neighbouring sites are one term, so its cost grows linearly with L."""
     return _coefficients(model, density(), 2 * jmax)
 
 
@@ -315,16 +318,25 @@ def word_coefficients(model: ModelSpec, A: Word, jmax: int) -> SeriesCoefficient
 # ---------------------------------------------------------------------------
 
 
+def certified_order(L: int, lambda_b: int, ell: int, observable_class: str) -> int:
+    """Last order certified size-independent on L sites by commutator reach:
+    j = (L-1)//lambda_b for the density's t^(2j) (``ell`` unread), and
+    n = (L-ell)//(2 lambda_b) for t^n of a word of length ``ell``."""
+    if observable_class == "density":
+        return (L - 1) // lambda_b
+    if observable_class == "word":
+        return (L - ell) // (2 * lambda_b)
+    raise ValueError(f"unknown observable class {observable_class!r}")
+
+
 def universality_threshold(model: ModelSpec, observable: ObservableSpec) -> int:
     """Largest certified-universal index of an observable's series on a ring.
 
-    The certificate counts commutator reach: on a ring of L sites with
-    blockade range lam, the density coefficient of t^(2j) is size-independent
-    for j <= (L-1)/lam; a pair counter at distance d (nearest-neighbour
-    blockade) for j <= L-d; a general word of length ell for t-powers
-    n <= (L-ell)/(2*lam).  Density and pair counters are indexed by j (the
-    power of t^2), general words by the power of t.  Open chains have no
-    strict universality and return 0.
+    The density and a local counter take the density class of
+    `certified_order`, a word of length ell its word class, and a pair
+    counter at distance d the sharper j <= L-d (nearest-neighbour blockade).
+    Density and pair counters are indexed by j (the power of t^2), general
+    words by the power of t.  Open chains return 0.
     """
     if model.topology == "infinite":
         raise ValueError("every order is universal on the infinite chain")
@@ -333,15 +345,14 @@ def universality_threshold(model: ModelSpec, observable: ObservableSpec) -> int:
     L = model.size
     lam = model.blockade_range
     if observable.kind in ("density", "local_number"):
-        return (L - 1) // lam
+        return certified_order(L, lam, 1, "density")
     if observable.kind == "correlation":
         d = observable.distance
         if lam == 1:
             return L - d
         # fall back to the general-word certificate, re-indexed to t^(2j)
-        return (L - (d + 1)) // (2 * lam) // 2
-    ell = max(word_length(observable.word), 1)
-    return (L - ell) // (2 * lam)
+        return certified_order(L, lam, d + 1, "word") // 2
+    return certified_order(L, lam, max(word_length(observable.word), 1), "word")
 
 
 def _universal_order_limit(model: ModelSpec, observable: ObservableSpec) -> int | None:

@@ -333,6 +333,13 @@ class TestDriveMatrix:
             assert hamiltonian_matrix(line(L), b) == drive_matrix_recursive(L)
             assert observable_matrix(line(L), b, density()) == total_number_matrix_recursive(L)
 
+    def test_recursion_from_the_empty_chain(self):
+        # the 0-site chain has one state, the empty one, and no entry
+        for recursion in (drive_matrix_recursive, total_number_matrix_recursive):
+            assert recursion(0).to_dense(int).tolist() == [[0]]
+            with pytest.raises(ValueError, match="a chain has at least 0 sites, not -1"):
+                recursion(-1)
+
     def test_ring4_vacuum_row(self):
         b = build_basis(ring(4))
         h = hamiltonian_matrix(ring(4), b)
@@ -631,6 +638,13 @@ class TestArraySectorAgainstSetWalk:
             for obs in placed_observables(model):
                 got = _matrix(sector, sector.observable(obs)).entries
                 assert list(got.items()) == list(ref_observable(model, orbit_of, obs).items())
+
+    def test_excitation_count(self):
+        for model in lattices():
+            for group in ("trivial", "cyclic", "lattice"):
+                sector = _sector(model, group)
+                want = [bin(s).count("1") for s in sector.firsts.tolist()]
+                assert sector.ones.tolist() == want, (model, group)
 
     def test_full_space(self):
         for model in lattices(12):

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockade import bounds
+from blockade.series import density, general_word, universality_threshold
+from blockade.words import NUM, make_word, ring
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +351,48 @@ class TestChunkedTail:
             monkeypatch.setattr(bounds, "_CHUNK_CAP", cap)
             assert bounds.log_error_envelope(*case) == want
             assert self._closing_depth_is(case, depth) == want
+
+
+class TestDomain:
+    """Every public entry that takes a blockade range refuses one below 1,
+    and the envelope a lattice of no site, naming the value."""
+
+    @pytest.mark.parametrize("lam", [0, -1, -2])
+    def test_blockade_range_below_one(self, lam):
+        message = f"blockade range must be at least 1, not {lam}"
+        for call in (
+            lambda: bounds.coefficient_bound(3, lam, 1, "density"),
+            lambda: bounds.coefficient_bound(3, lam, 2, "word"),
+            lambda: bounds.log_error_envelope(10, lam, 1, 0.5),
+            lambda: bounds.log_error_envelope(10, lam, 1, 0.0, "word"),
+            lambda: bounds.error_envelope(10, lam, 1, 0.5),
+            lambda: bounds.convergence_ratio(10, lam, 1, 1.0),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("L", [0, -5])
+    def test_envelope_needs_a_site(self, L):
+        for cls in ("density", "word"):
+            with pytest.raises(ValueError) as err:
+                bounds.log_error_envelope(L, 1, 1, 0.5, cls)
+            assert str(err.value) == f"an envelope needs at least one site, not L={L}"
+
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_tail_starts_past_the_universal_column(self, lam, monkeypatch):
+        # the envelope sums exactly the orders the series does not certify
+        starts = []
+        monkeypatch.setattr(
+            bounds, "_certified_tail_log", lambda chunk, ratio, start, *rest: starts.append(start)
+        )
+        for L in range(2 * lam + 1, 30):
+            bounds.log_error_envelope(L, lam, 1, 0.5)
+            assert starts[-1] == universality_threshold(ring(L, lam), density()) + 1
+            for ell in (1, 2, 3):
+                word = general_word(make_word({k: NUM for k in range(1, ell + 1)}))
+                bounds.log_error_envelope(L, lam, ell, 0.5, "word")
+                assert starts[-1] == universality_threshold(ring(L, lam), word) + 1
 
 
 class TestConvergenceRatio:

@@ -428,6 +428,25 @@ class TestRefusals:
                  "--observable", "g2", "--d", "6"),
                 "pair (1, 7) names one site twice on a ring of 6 sites",
             ),
+            (
+                ("bounds", "--table", "envelope", "--L", "10", "--lambda", "-1"),
+                "blockade range must be at least 1, not -1",
+            ),
+            (("bounds", "--table", "bj", "--lambda", "-2"), "blockade range must be at least 1, not -2"),
+            (("bounds", "--table", "ratio", "--lambda", "0"), "blockade range must be at least 1, not 0"),
+            (("bounds", "--table", "envelope", "--L", "0"), "an envelope needs at least one site, not L=0"),
+            (
+                ("bounds", "--table", "envelope", "--L", "-5"),
+                "an envelope needs at least one site, not L=-5",
+            ),
+            (
+                ("simulate", "--L", "8", "--window-vs", "10", "--epsilon", "nan"),
+                "epsilon must be positive and finite, got nan",
+            ),
+            (
+                ("simulate", "--L", "8", "--window-vs", "10", "--epsilon", "-1"),
+                "epsilon must be positive and finite, got -1.0",
+            ),
         ],
         ids=[
             "topology", "L", "d", "emit-q", "t-steps", "overlay-jmax", "oracle-infinite",
@@ -436,7 +455,8 @@ class TestRefusals:
             "envelope-t-start-inf", "g2-negative-time", "overlay-g2", "window-json",
             "window-g2", "window-correlation", "window-overlay", "jmax-without-overlay",
             "window-jmax", "coeffs-pair-one-site", "correlation-pair-one-site",
-            "g2-pair-one-site",
+            "g2-pair-one-site", "envelope-lambda", "bj-lambda", "ratio-lambda", "envelope-L0",
+            "envelope-L-negative", "window-epsilon-nan", "window-epsilon-negative",
         ],
     )
     def test_flag_refusals(self, capsys, argv, want):
@@ -462,3 +482,13 @@ class TestRefusals:
 
     def test_config_without_path(self, capsys):
         assert self.refused(capsys, "coeffs", "--config") == "blockade: error: --config needs a path"
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        path = tmp_path / "missing.cfg"
+        msg = self.refused(capsys, "coeffs", "--config", str(path))
+        assert msg == f"blockade: error: [Errno 2] No such file or directory: '{path}'"
+
+    def test_output_into_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "kappa.csv"
+        msg = self.refused(capsys, "bounds", "--amax", "2", "--output", str(path))
+        assert msg == f"blockade: error: [Errno 2] No such file or directory: '{path}'"

@@ -602,6 +602,13 @@ class TestUniversalWindow:
     def test_no_crossing_returns_none(self):
         assert universal_window(ring(8), ring(10), [0.01, 0.02], 1e-3) is None
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_epsilon_refused_before_evolving(self, epsilon, monkeypatch):
+        monkeypatch.setattr(dynamics, "evolve", lambda *args: pytest.fail("evolved"))
+        with pytest.raises(ValueError) as err:
+            universal_window(ring(8), ring(10), [0.5], epsilon)
+        assert str(err.value) == f"epsilon must be positive and finite, got {epsilon}"
+
 
 class TestExport:
     def test_csv_lines(self):

@@ -12,6 +12,7 @@ from blockade.series import (
     SeriesCoefficients,
     _deficit,
     boundary_deficits,
+    certified_order,
     coefficient_records,
     correlation,
     correlation_coefficients,
@@ -21,6 +22,7 @@ from blockade.series import (
     eval_series,
     general_word,
     local_number,
+    observable_scale,
     records_to_csv,
     universality_threshold,
     word_coefficients,
@@ -212,6 +214,36 @@ class TestUniversalityThreshold:
     def test_infinite_raises(self):
         with pytest.raises(ValueError):
             universality_threshold(infinite_chain(), density())
+
+    def test_certified_order_classes(self):
+        assert certified_order(18, 1, 1, "density") == 17
+        assert certified_order(9, 2, 5, "density") == 4  # ell is not read
+        assert certified_order(10, 1, 3, "word") == 3
+        assert certified_order(13, 3, 1, "word") == 2
+        with pytest.raises(ValueError, match="unknown observable class 'pair'"):
+            certified_order(10, 1, 1, "pair")
+
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_overlay_ring_is_the_smallest_certified(self, lam):
+        # `blockade simulate --overlay-universal` inverts the density class
+        # as ring(lam * jmax + 1, lam): the smallest ring certified through jmax
+        for jmax in range(1, 13):
+            reached = []
+            for L in range(2, lam * jmax + 2):
+                try:
+                    model = ring(L, lam)
+                except ValueError:  # a ring the blockade covers
+                    continue
+                if universality_threshold(model, density()) >= jmax:
+                    reached.append(L)
+            assert reached == [lam * jmax + 1]
+
+    def test_observable_scale(self):
+        assert observable_scale(density(), ring(12)) == Fraction(1, 12)
+        assert observable_scale(density(), line(7, 2)) == Fraction(1, 7)
+        assert observable_scale(density(), infinite_chain()) == 1
+        assert observable_scale(local_number(3), ring(12)) == 1
+        assert observable_scale(correlation(2), line(7)) == 1
 
     def test_metadata_flags(self):
         sc = density_coefficients(ring(4), 4)
