@@ -27,12 +27,31 @@ float representation by order j ~ 50) with factorials via lgamma, over whole
 index ranges at once: W is solved for an array of arguments with every
 element residual-checked, and a tail is summed in chunks by a running
 log-sum-exp (``np.logaddexp.accumulate``) until its geometric closure is
-negligible.  All functions are pure and thread-safe.
+negligible.
+
+A tail term and its ratio majorant depend on t only through powers of t,
+and on L not at all (L sets where the tail starts), so the t-free part of
+each tail order is solved once per process and tabled in ``_TABLES``, keyed
+by ``(lambda_b, ell, observable_class)`` (``ell`` is 1 for the density,
+which does not read it).  A table holds two float64 columns, 16 bytes per
+order from order 1: the log omega product to 2j and omega_(2j+1)
+omega_(2j+2) for the nearest-neighbour density, the log coefficient bound
+and the tau of the ratio majorant for the kappa forms.  An envelope call
+reads the orders it sums from the table and solves only the orders no
+earlier call reached.  The tables live as long as the process.  Every solve
+is elementwise and the omega product one sequential sum, so a tabled value
+never depends on when its table grew.
+
+All functions are pure in what they return: equal arguments give equal bits,
+whatever was tabled before.  They are thread-safe: one lock serialises the
+growth of the tables, and a grown table is installed by one store of a tuple
+of complete pieces, none of which is written again.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +81,8 @@ TAIL_TERM_CAP = 10**6
 _OVERFLOW_LOG = math.log(1e306)
 _HALLEY_STEPS = 2  # from the seed below, converged to rounding for a in (1e-300, 1e300)
 _CHUNK_FIRST = 256  # tail chunks double from here up to the cap, which bounds
-_CHUNK_CAP = 2048  # memory and keeps the arrays of a chunk in cache
+_CHUNK_CAP = 2048  # memory and keeps the arrays of a chunk in cache; tail tables
+# grow in pieces of _CHUNK_CAP orders for the same reason
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 
 
@@ -195,6 +215,71 @@ def coefficient_bound(
 
 
 # ---------------------------------------------------------------------------
+# tail tables
+# ---------------------------------------------------------------------------
+
+_TABLES: dict = {}  # (lambda_b, ell, observable_class) -> (piece size, pieces)
+_GROWING = threading.Lock()
+
+
+def _majorant_argument(j: np.ndarray, lambda_b: int, ell: int, observable_class: str):
+    """The a of tau(a) in the kappa forms' term-ratio majorant at orders j.
+
+    Density: kappa_{a+2}/kappa_a <= tau(a+2)^2 <= tau(2j+2)^2.  Word:
+    kappa_{n+s}/kappa_{n+s-1} <= tau(n+s) <= tau(n+c), s = ell/(2 lam), with
+    integer c >= s.  Either majorant is then monotone decreasing (tau(a)/a =
+    1/omega(a) decreases).
+    """
+    if observable_class == "density":
+        return 2.0 * j + 2
+    return j + float(max(1, math.ceil(ell / (2.0 * lambda_b))))
+
+
+def _table_columns(key: tuple, j: np.ndarray, log_product: float):
+    """The two t-free columns of table ``key`` at consecutive orders j;
+    ``log_product`` is ln(omega_1 ... omega_(2 j[0] - 2))."""
+    lambda_b, ell, observable_class = key
+    if observable_class == "density" and lambda_b == 1:
+        om = _solve(np.arange(2 * j[0] - 1, 2 * j[-1] + 3))[1]  # omega_{2j0-1..2jn+2}
+        prefix = np.cumsum(np.concatenate(([log_product], np.log(om[:-2]))))
+        return prefix[2::2], om[2::2] * om[3::2]
+    return (
+        _log_bounds(j, lambda_b, ell, observable_class),
+        _solve(_majorant_argument(j, *key))[0],
+    )
+
+
+def _grow(key: tuple, need: int) -> tuple:
+    """Table ``key`` through order ``need`` at least, installed in _TABLES.
+
+    A table is its piece size and a tuple of complete pieces, piece i a
+    2 x size array of the two columns at orders i size + 1 .. (i + 1) size.
+    Growth appends pieces and installs the longer tuple; no piece is copied
+    or written again.
+    """
+    with _GROWING:
+        size, pieces = _TABLES.get(key, (_CHUNK_CAP, ()))
+        grown = list(pieces)
+        while len(grown) * size < need:
+            j = np.arange(len(grown) * size + 1, (len(grown) + 1) * size + 1)
+            log_product = grown[-1][0, -1] if grown else 0.0
+            grown.append(np.array(_table_columns(key, j, log_product)))
+        table = _TABLES[key] = size, tuple(grown)
+        return table
+
+
+def _tail_rows(key: tuple, lo: int, hi: int) -> np.ndarray:
+    """Both columns of table ``key`` at orders lo..hi-1 (lo >= 1), as rows."""
+    size, pieces = _TABLES.get(key, (0, ()))
+    if len(pieces) * size < hi - 1:
+        size, pieces = _grow(key, hi - 1)
+    first, last = (lo - 1) // size, (hi - 2) // size
+    rows = pieces[first] if first == last else np.concatenate(pieces[first : last + 1], axis=1)
+    offset = lo - 1 - first * size
+    return rows[:, offset : offset + hi - lo]
+
+
+# ---------------------------------------------------------------------------
 # envelopes
 # ---------------------------------------------------------------------------
 
@@ -260,10 +345,11 @@ def log_error_envelope(
 
     The envelope sums the class bound over every order *not* certified
     universal on a chain of L >= 1 sites: the tail starts one order after
-    `series.certified_order`, at j0 = L for the nearest-neighbour density.
-    The nearest-neighbour density
-    envelope uses the sharper omega-product form, which also obeys the clean
-    consecutive-size ratio bound 36 t^2 / (omega_{2L-1} omega_{2L}).
+    `series.certified_order`, at j0 = L for the nearest-neighbour density;
+    a word must fit on the chain, 1 <= ell <= L.  The nearest-neighbour
+    density envelope uses the sharper omega-product form, which also obeys
+    the clean consecutive-size ratio bound 36 t^2 / (omega_{2L-1} omega_{2L}).
+    The t-free part of each summed order comes from the tail tables.
 
     Returns -inf at t = 0.  This is a one-sided certificate: it bounds the
     true deviation from above, usually by a wide margin.
@@ -271,63 +357,54 @@ def log_error_envelope(
     _check_range(lambda_b)
     if L < 1:
         raise ValueError(f"an envelope needs at least one site, not L={L}")
+    if observable_class == "word" and not 1 <= ell <= L:
+        raise ValueError(f"a word needs 1 <= ell <= L, not ell={ell} on L={L} sites")
     if not math.isfinite(t):
         raise ValueError("time must be finite")
     if t == 0.0:
         return float("-inf")
     abst = abs(t)
     start = certified_order(L, lambda_b, ell, observable_class) + 1
+    key = (lambda_b, ell if observable_class == "word" else 1, observable_class)
+    if observable_class == "density" and lambda_b == 1:
+        # omega-product form; the term ratio is exactly 36 t^2 / (w w'),
+        # decreasing because omega increases.
+        log23 = math.log(2.0 / 3.0)
+        log6t = math.log(6.0 * abst)
+        t2 = 36.0 * t * t
+
+        def chunk_nn(lo, hi):
+            log_product, om2 = _tail_rows(key, lo, hi)
+            return log23 + 2 * np.arange(lo, hi) * log6t - log_product, t2 / om2
+
+        def ratio_nn(j):
+            om = _solve(2 * j[:, None] + np.array([1, 2]))[1]
+            return t2 / (om[:, 0] * om[:, 1])
+
+        return _certified_tail_log(chunk_nn, ratio_nn, start, max_terms, t)
+
     if observable_class == "density":
-        if lambda_b == 1:
-            # omega-product form; the term ratio is exactly 36 t^2 / (w w'),
-            # decreasing because omega increases.
-            log23 = math.log(2.0 / 3.0)
-            log6t = math.log(6.0 * abst)
-            t2 = 36.0 * t * t
-            done = [0, 0.0]  # k and ln(omega_1 ... omega_k) summed so far
-
-            def chunk_nn(lo, hi):
-                k, log_product = done
-                om = _solve(np.arange(k + 1, 2 * hi + 1))[1]  # omega_{k+1..2hi}
-                prefix = np.cumsum(np.concatenate(([log_product], np.log(om[:-2]))))
-                done[:] = 2 * hi - 2, prefix[-1]
-                j, off = np.arange(lo, hi), 2 * lo - k  # prefix[off] = ln product to 2 lo
-                return (
-                    log23 + 2 * j * log6t - prefix[off::2],
-                    t2 / (om[off::2] * om[off + 1 :: 2]),
-                )
-
-            def ratio_nn(j):
-                om = _solve(2 * j[:, None] + np.array([1, 2]))[1]
-                return t2 / (om[:, 0] * om[:, 1])
-
-            return _certified_tail_log(chunk_nn, ratio_nn, start, max_terms, t)
-
-        # kappa form for longer blockade ranges: 2 b_j t^(2j).  The ratio
-        # majorant uses kappa_{a+2}/kappa_a <= tau(a+2)^2 <= tau(2j+2)^2 and
-        # is monotone decreasing (tau(a)/a = 1/omega(a) decreases).
+        # kappa form for longer blockade ranges: 2 b_j t^(2j)
         log_t_power = 2.0 * math.log(abst)
 
-        def ratio(j):
-            tau = _solve(2.0 * j + 2)[0]
+        def majorant(j, tau):
             return (6.0 * lambda_b * abst * tau) ** 2 / ((2 * j + 1) * (2 * j + 2))
 
     else:  # word
         log_t_power = math.log(abst)
-        c = max(1, math.ceil(ell / (2.0 * lambda_b)))
 
-        def ratio(n):
-            # kappa_{n+s}/kappa_{n+s-1} <= tau(n+s) <= tau(n+c), s = ell/(2 lam);
-            # with integer c >= s the majorant tau(n+c)/(n+1) is monotone
-            # decreasing.
-            tau = _solve(n + float(c))[0]
+        def majorant(n, tau):
             return 12.0 * lambda_b * abst * tau / (n + 1)
 
     log2 = math.log(2.0)
 
     def chunk(lo, hi):
+        log_bound, tau = _tail_rows(key, lo, hi)
         j = np.arange(lo, hi)
-        return log2 + _log_bounds(j, lambda_b, ell, observable_class) + j * log_t_power, ratio(j)
+        return log2 + log_bound + j * log_t_power, majorant(j, tau)
+
+    def ratio(j):
+        return majorant(j, _solve(_majorant_argument(j, *key))[0])
 
     return _certified_tail_log(chunk, ratio, start, max_terms, t)
 

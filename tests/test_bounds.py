@@ -1,7 +1,10 @@
 """Coefficient bounds, envelopes and convergence-rate diagnostics."""
 
 import math
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -109,6 +112,15 @@ def reference_tail(L, lam, ell, t, cls):
                 acc += math.exp(log_rem - m)
                 return m + math.log(acc), start, i
     raise AssertionError("reference tail not closed")
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The size of every array `bounds._solve` is given, in call order."""
+    sizes = []
+    solve = bounds._solve
+    monkeypatch.setattr(bounds, "_solve", lambda a: sizes.append(np.size(a)) or solve(a))
+    return sizes
 
 
 class TestKappa:
@@ -349,8 +361,119 @@ class TestChunkedTail:
         for first, cap in layouts:  # closure last of one chunk, first of the next, ...
             monkeypatch.setattr(bounds, "_CHUNK_FIRST", first)
             monkeypatch.setattr(bounds, "_CHUNK_CAP", cap)
-            assert bounds.log_error_envelope(*case) == want
+            monkeypatch.setattr(bounds, "_TABLES", {})  # grown in pieces of `cap` orders
+            # the bounded depth first: a wrong piece seam fails here at once
+            # instead of leaving the full-depth tail unclosed for 10^6 terms
             assert self._closing_depth_is(case, depth) == want
+            assert bounds.log_error_envelope(*case) == want
+
+
+class TestTailTables:
+    """The t- and L-free tail tables: shared by every envelope call, solved
+    once per order, and invisible in the values."""
+
+    # one case per tail form: the omega product, the kappa density, and words
+    # read through tau(n + 1) (ell <= 2 lambda) and tau(n + 2) (ell > 2
+    # lambda); at these times the tails run past the first pieces of a table
+    FORMS = [
+        (10, 1, 1, 1.3, "density"),
+        (9, 2, 1, 0.7, "density"),
+        (10, 1, 2, 0.7, "word"),
+        (15, 1, 3, 0.7, "word"),
+    ]
+
+    @staticmethod
+    def cold(monkeypatch):
+        monkeypatch.setattr(bounds, "_TABLES", {})
+
+    @pytest.mark.parametrize("case", FORMS, ids=TestChunkedTail.case_id)
+    def test_warm_table_never_moves_a_value(self, case, monkeypatch):
+        L, lam, ell, t, cls = case
+        calls = [(L2, lam, ell, t2, cls) for L2 in (L, L + 1, L + 7) for t2 in (0.2, 0.5, t)]
+        want = {}
+        for c in calls:  # each from cold tables
+            self.cold(monkeypatch)
+            want[c] = bounds.log_error_envelope(*c)
+        for before in (
+            (L, lam, ell, t + 0.1, cls),  # deeper: a larger t
+            (L + 12, lam, ell, t, cls),  # another L, whose tail starts later
+            (max(ell, 3), lam, ell, t, cls),  # another L, whose tail starts sooner
+        ):
+            for c in calls:
+                self.cold(monkeypatch)
+                bounds.log_error_envelope(*before)
+                assert bounds.log_error_envelope(*c) == want[c]
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            self.cold(monkeypatch)
+            for i in rng.permutation(len(calls)):
+                assert bounds.log_error_envelope(*calls[i]) == want[calls[i]]
+
+    @pytest.mark.parametrize(
+        "calls, majorant",
+        [
+            ([(L, 1, 1, 1.0, "density") for L in range(9, 41)], 4),  # the ratio table
+            ([(18, 2, 1, 0.1 * i, "density") for i in range(1, 9)], 2),
+            ([(18, 1, 2, 0.1 * i, "word") for i in range(1, 9)], 2),
+        ],
+        ids=["density-lam1-L9..40", "density-lam2-t-grid", "word-ell2-t-grid"],
+    )
+    def test_each_order_solved_once(self, calls, majorant, solved, monkeypatch):
+        # every form solves two elements per order: two omegas, or the
+        # kappa of the bound and the tau of the majorant
+        self.cold(monkeypatch)
+        deepest = [0]
+        rows = bounds._tail_rows
+        monkeypatch.setattr(
+            bounds, "_tail_rows",
+            lambda key, lo, hi: deepest.append(hi - 1) or rows(key, lo, hi),
+        )
+        for c in calls:
+            bounds.log_error_envelope(*c)
+        piece = 2 * bounds._CHUNK_CAP + 2
+        assert sum(solved) <= 2 * max(deepest) + piece + majorant * len(calls)
+        assert max(solved) <= piece  # tables grow a cache-sized piece at a time
+        # a repeated or shallower call solves its up-front majorant only
+        for c in (calls[-1], calls[0], calls[-1][:3] + (0.05,) + calls[-1][4:]):
+            solved.clear()
+            bounds.log_error_envelope(*c)
+            assert solved == [majorant]
+
+    def test_threads_agree_with_serial(self, monkeypatch):
+        calls = [
+            (L2, lam, ell, t2, cls)
+            for L, lam, ell, t, cls in self.FORMS
+            for L2 in (L, L + 5)
+            for t2 in (0.3, t)
+        ]
+        self.cold(monkeypatch)
+        want = [bounds.log_error_envelope(*c) for c in calls]
+        self.cold(monkeypatch)
+        start = threading.Barrier(4, timeout=60)
+
+        def run(seed):
+            order = np.random.default_rng(seed).permutation(len(calls))
+            start.wait()
+            return {int(i): bounds.log_error_envelope(*calls[i]) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-growth as often as possible
+        try:
+            with ThreadPoolExecutor(4) as pool:  # more threads than cores
+                results = list(pool.map(run, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4
+        for got in results:
+            assert [got[i] for i in range(len(calls))] == want
+
+    def test_warm_tables_still_refuse_a_broken_solver(self, monkeypatch):
+        for case in self.FORMS:
+            bounds.log_error_envelope(*case)
+        monkeypatch.setattr(bounds, "_HALLEY_STEPS", 0)
+        for case in self.FORMS:
+            with pytest.raises(ArithmeticError, match="kappa residuals too large"):
+                bounds.log_error_envelope(*case)
 
 
 class TestDomain:
@@ -378,6 +501,17 @@ class TestDomain:
             with pytest.raises(ValueError) as err:
                 bounds.log_error_envelope(L, 1, 1, 0.5, cls)
             assert str(err.value) == f"an envelope needs at least one site, not L={L}"
+
+    @pytest.mark.parametrize("L, lam, ell", [(2, 1, 3), (1, 1, 2), (1, 3, 2), (5, 2, 9), (7, 1, 0)])
+    def test_word_must_fit_on_the_chain(self, L, lam, ell, solved):
+        # refused before any solve, also at t = 0 and at a hopeless t
+        for t in (0.5, 0.0, 30.0):
+            with pytest.raises(ValueError) as err:
+                bounds.log_error_envelope(L, lam, ell, t, "word")
+            assert str(err.value) == f"a word needs 1 <= ell <= L, not ell={ell} on L={L} sites"
+        assert solved == []
+        # the density does not read ell
+        assert math.isfinite(bounds.log_error_envelope(L, lam, ell, 0.05))
 
     @pytest.mark.parametrize("lam", [1, 2, 3])
     def test_tail_starts_past_the_universal_column(self, lam, monkeypatch):

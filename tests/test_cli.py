@@ -1,12 +1,16 @@
 """End-to-end command-line tests: flags, file formats, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 import blockade.words
 from blockade.cli import main
 from blockade import bounds, verify
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +230,27 @@ class TestBounds:
         assert rc == 0
         assert len(csv_rows(out)) == 3
 
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (("--table", "kappa", "--amax", "100"), "bounds_kappa.csv"),
+            (("--table", "envelope", "--L", "18", "--t-stop", "1", "--t-steps", "21"),
+             "bounds_envelope.csv"),
+            (("--table", "ratio", "--Lmin", "10", "--Lmax", "40", "--t", "1.0"), "bounds_ratio.csv"),
+            (("--table", "envelope", "--L", "18", "--ell", "2", "--cls", "word",
+              "--t-stop", "0.8", "--t-steps", "9"), "bounds_envelope_word.csv"),
+            (("--table", "envelope", "--L", "18", "--lambda", "2",
+              "--t-stop", "0.8", "--t-steps", "9"), "bounds_envelope_lambda2.csv"),
+        ],
+        ids=["kappa", "envelope", "ratio", "envelope-word", "envelope-lambda2"],
+    )
+    def test_csv_is_byte_identical_to_golden(self, capsys, argv, golden):
+        # the README's three bounds commands and two more envelope forms, as
+        # printed before the envelope tails were tabled
+        rc, out = run_cli(capsys, "bounds", *argv)
+        assert rc == 0
+        assert out == (GOLDEN / golden).read_text()
+
 
 class TestConfigFile:
     def test_flags_from_file(self, capsys, tmp_path):
@@ -440,6 +465,10 @@ class TestRefusals:
                 "an envelope needs at least one site, not L=-5",
             ),
             (
+                ("bounds", "--table", "envelope", "--L", "2", "--ell", "3", "--cls", "word"),
+                "a word needs 1 <= ell <= L, not ell=3 on L=2 sites",
+            ),
+            (
                 ("simulate", "--L", "8", "--window-vs", "10", "--epsilon", "nan"),
                 "epsilon must be positive and finite, got nan",
             ),
@@ -456,7 +485,7 @@ class TestRefusals:
             "window-g2", "window-correlation", "window-overlay", "jmax-without-overlay",
             "window-jmax", "coeffs-pair-one-site", "correlation-pair-one-site",
             "g2-pair-one-site", "envelope-lambda", "bj-lambda", "ratio-lambda", "envelope-L0",
-            "envelope-L-negative", "window-epsilon-nan", "window-epsilon-negative",
+            "envelope-L-negative", "envelope-word-longer-than-L", "window-epsilon-nan", "window-epsilon-negative",
         ],
     )
     def test_flag_refusals(self, capsys, argv, want):
