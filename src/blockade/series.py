@@ -243,12 +243,19 @@ def _phase_sign(order: int) -> int:
 def _expectation_series(A: OperatorSum, model: ModelSpec, max_order: int) -> list[Fraction]:
     """Stored coefficients of <A(t)> through t^max_order for one seed operator.
 
-    Iterates the nested commutator once per order, but takes each order's
-    vacuum expectation from the *previous* operator through the cheap
-    single-letter contraction, so the most expensive operator is never built.
-    On rings and the infinite chain the operator is kept by translation
-    class (`commutator_classes`), which yields the same values: the vacuum
-    and the drive are translation invariant.
+    Each order's vacuum expectation is read from the previous operator by the
+    single-letter contraction, so ad^max_order(A) is never built.  Rings and
+    the infinite chain keep the operator by translation class
+    (`commutator_classes`): the vacuum and the drive are translation invariant.
+
+    Only words that can still reach the vacuum are built.  The weight
+    ``|O| + |I|`` of a packed word counts 1 for r and rd, 2 for n, 0 for m.
+    Each product `_commute` keeps sets or clears one bit of O or I, so one
+    commutator moves the weight by exactly one; m letters, ring folding and
+    class merging leave it unchanged; `class_commutator_expectation` reads
+    only weight 1.  So a word of ad^k(A) heavier than ``max_order - k`` can
+    reach no returned coefficient, and order k is built with that reach.  The
+    pruning is exact: the commutator is linear, the sums exact integers.
     """
     vals = [Fraction(vacuum_expectation(A))]
     cur = translation_classes(A, model)
@@ -256,7 +263,7 @@ def _expectation_series(A: OperatorSum, model: ModelSpec, max_order: int) -> lis
         exp = class_commutator_expectation(cur)
         vals.append(Fraction(_phase_sign(order) * exp, factorial(order)))
         if order < max_order:
-            cur = commutator_classes(cur, model)
+            cur = commutator_classes(cur, model, max_order - order)
     return vals
 
 

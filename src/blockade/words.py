@@ -89,7 +89,6 @@ __all__ = [
     "commutator_H",
     "ad_power",
     "vacuum_expectation",
-    "commutator_vacuum_expectation",
     "translation_classes",
     "commutator_classes",
     "class_commutator_expectation",
@@ -509,7 +508,7 @@ def _frame_shift(model: ModelSpec) -> int:
     return 2 * model.blockade_range if model.topology == "infinite" else 0
 
 
-def _commute(terms: dict, model: ModelSpec) -> dict:
+def _commute(terms: dict, model: ModelSpec, reach: int | None = None) -> dict:
     """Packed [H, op]; on the infinite chain bit b of the result is bit
     b - `_frame_shift` of the input.
 
@@ -519,7 +518,10 @@ def _commute(terms: dict, model: ModelSpec) -> dict:
     its in-bits on X equal the flip's out-side; every surviving product sets
     or clears bit b of O or I and extends the support to D | S.  A flip
     outside S whose overlap carries only ground projectors commutes with the
-    word, and its four products cancel in pairs, so it is skipped.
+    word, and its four products cancel in pairs, so it is skipped.  Given
+    ``reach``, only words of weight ``|O| + |I|`` up to ``reach`` are built:
+    a word heavier than ``reach + 1`` is skipped, and one of weight ``reach``
+    or more keeps only its products that clear a bit.
     """
     lam = model.blockade_range
     shift = _frame_shift(model)
@@ -534,6 +536,10 @@ def _commute(terms: dict, model: ModelSpec) -> dict:
     for (S, O, I), c in terms.items():
         if not S:
             continue  # the identity commutes with everything
+        over = -1 if reach is None else O.bit_count() + I.bit_count() - reach
+        if over > 1:
+            continue  # every product is heavier than reach
+        rise = over < 0
         if shift:
             S <<= shift
             O <<= shift
@@ -541,8 +547,9 @@ def _commute(terms: dict, model: ModelSpec) -> dict:
         if cyclic:
             sites = drive
         else:
-            lo = (S & -S).bit_length() - 1 - lam
-            sites = drive[max(lo, 0): S.bit_length() + lam]
+            pad = lam if rise else 0
+            lo = (S & -S).bit_length() - 1 - pad
+            sites = drive[max(lo, 0): S.bit_length() + pad]
         for D, b in sites:
             X = D & S
             if not X:
@@ -554,24 +561,17 @@ def _commute(terms: dict, model: ModelSpec) -> dict:
                 if ox == b:  # r_k (x) m's times a word with rd or n at k
                     key = (U, O ^ b, I)
                     acc[key] = get(key, 0) + c
-                elif not ox:  # rd_k (x) m's times a word with r or m at k
+                elif not ox and rise:  # rd_k (x) m's times a word with r or m at k
                     key = (U, O | b, I)
                     acc[key] = get(key, 0) + c
                 if ix == b:  # word with r or n at k times rd_k (x) m's
                     key = (U, O, I ^ b)
                     acc[key] = get(key, 0) - c
-                elif not ix:  # word with rd or m at k times r_k (x) m's
+                elif not ix and rise:  # word with rd or m at k times r_k (x) m's
                     key = (U, O, I | b)
                     acc[key] = get(key, 0) - c
-            else:
-                if ox:
-                    if ix:
-                        continue
-                    cc = -c
-                elif ix:
-                    cc = c
-                else:
-                    continue
+            elif rise and (not ox) != (not ix):
+                cc = -c if ox else c
                 key = (U, O, I | b)
                 acc[key] = get(key, 0) + cc
                 key = (U, O | b, I)
@@ -650,12 +650,13 @@ def translation_classes(op: OperatorSum, model: ModelSpec) -> dict:
     return _merge_classes(terms, model)
 
 
-def commutator_classes(classes: dict, model: ModelSpec) -> dict:
+def commutator_classes(classes: dict, model: ModelSpec, reach: int | None = None) -> dict:
     """One nested-commutator order on a packed operator by translation class:
     ``[H, sum_k T^k A] = sum_k T^k [H, A]``, so the commutator of each
     representative is taken and its words are mapped back to their classes.
-    On an open chain this is the packed commutator itself."""
-    return _merge_classes(_commute(classes, model), model)
+    On an open chain this is the packed commutator itself; ``reach`` prunes
+    it as in `_commute`."""
+    return _merge_classes(_commute(classes, model, reach), model)
 
 
 def class_commutator_expectation(classes: dict) -> Fraction:
@@ -719,18 +720,6 @@ def vacuum_expectation(op: OperatorSum) -> Fraction:
     """
     terms = _pack_terms(op, _base(op))
     return Fraction(sum(c for (_, O, I), c in terms.items() if not O and not I))
-
-
-def commutator_vacuum_expectation(op: OperatorSum, model: ModelSpec) -> Fraction:
-    """Vacuum expectation of [H, op] without materialising the commutator.
-
-    An all-projector product can only arise when a dressed flip meets a word
-    carrying exactly one single letter, at that same site, and ground
-    projectors elsewhere (see `class_commutator_expectation`).  Equivalent
-    to ``vacuum_expectation(commutator_H(op, model))`` but far cheaper at
-    the top order of a coefficient computation.
-    """
-    return class_commutator_expectation(_pack_operator(op, model)[0])
 
 
 # ---------------------------------------------------------------------------

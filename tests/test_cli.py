@@ -99,6 +99,27 @@ class TestCoeffs:
         )
         assert repr(-2 / 3) in out
 
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (("--topology", "infinite", "--lambda", "1", "--jmax", "6"), "coeffs_infinite_lambda1.csv"),
+            (("--topology", "infinite", "--lambda", "2", "--jmax", "6"), "coeffs_infinite_lambda2.csv"),
+            (("--topology", "infinite", "--lambda", "3", "--jmax", "6"), "coeffs_infinite_lambda3.csv"),
+            (("--topology", "ring", "--L", "24", "--jmax", "6"), "coeffs_ring24.csv"),
+            (("--topology", "line", "--L", "20", "--jmax", "6"), "coeffs_line20.csv"),
+            (("--topology", "infinite", "--observable", "correlation", "--d", "2", "--jmax", "6"),
+             "coeffs_infinite_correlation_d2.csv"),
+            (("--topology", "line", "--L", "12", "--jmax", "4", "--emit-q"), "coeffs_line12_q.csv"),
+        ],
+        ids=["infinite-l1", "infinite-l2", "infinite-l3", "ring24", "line20", "pair-d2", "line12-q"],
+    )
+    def test_csv_is_byte_identical_to_golden(self, capsys, argv, golden):
+        # full-budget series, as printed before the series pruned the words
+        # that can no longer reach the vacuum
+        rc, out = run_cli(capsys, "coeffs", *argv)
+        assert rc == 0
+        assert out == (GOLDEN / golden).read_text()
+
 
 class TestSimulate:
     def test_density_starts_at_zero(self, capsys):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockade import bounds, words as W
+from blockade import bounds, series, words as W
 from blockade.series import correlation_coefficients, density_coefficients, word_coefficients
 from blockade.words import (
     LOWER,
@@ -23,7 +23,6 @@ from blockade.words import (
     adjoint,
     canonicalize,
     commutator_H,
-    commutator_vacuum_expectation,
     dumps_operator,
     hamiltonian_terms,
     infinite_chain,
@@ -302,7 +301,7 @@ class TestVacuumExpectation:
         for model in (infinite_chain(), ring(5), line(6), infinite_chain(2)):
             op = ad_power(number_operator(1), model, 3)
             direct = vacuum_expectation(commutator_H(op, model))
-            assert commutator_vacuum_expectation(op, model) == direct
+            assert W.class_commutator_expectation(W._pack_operator(op, model)[0]) == direct
 
 
 class TestStructuralInvariants:
@@ -515,9 +514,9 @@ class TestPackedKernel:
                 break  # enough words to cover every overlap pattern; keeps examples cheap
             want = ref_commutator_H(op, model)
             assert commutator_H(op, model) == want
-            assert commutator_vacuum_expectation(op, model) == ref_commutator_vacuum_expectation(
-                op, model
-            )
+            assert W.class_commutator_expectation(
+                W._pack_operator(op, model)[0]
+            ) == ref_commutator_vacuum_expectation(op, model)
             assert vacuum_expectation(op) == ref_vacuum_expectation(op)
             op = want
 
@@ -584,3 +583,64 @@ class TestPackedKernel:
         w = make_word({2: RAISE, 3: PROJ, 4: NUM})
         got = word_coefficients(model, w, 7).values
         assert got == ref_series(OperatorSum({w: 1}), model, 7)
+
+
+# ---------------------------------------------------------------------------
+# reach bound of the series
+# ---------------------------------------------------------------------------
+
+
+def weight(p):
+    """Letter bits of a packed word: 1 for r and rd, 2 for n, 0 for m."""
+    _, O, I = p
+    return O.bit_count() + I.bit_count()
+
+
+class TestReachBound:
+    @given(model_and_operator(), st.integers(1, 6))
+    @example((infinite_chain(2), OperatorSum({make_word({0: NUM, 1: NUM, 3: RAISE, 5: NUM}): 1})), 6)
+    @example((line(7, 1), OperatorSum({make_word({1: NUM, 4: NUM, 7: NUM}): 2})), 6)
+    @example((ring(9, 2), OperatorSum({make_word({1: RAISE, 4: LOWER, 7: NUM}): 1})), 3)
+    @settings(max_examples=30, deadline=None)
+    def test_pruned_series_equals_unpruned_reference(self, case, max_order):
+        model, op = case
+        got = series._expectation_series(op, model, max_order)
+        assert tuple(got) == ref_series(op, model, max_order)
+        if min(weight(p) for p in W._pack_operator(op, model)[0]) > max_order:
+            assert not any(got)  # no word of the seed can reach the vacuum in time
+
+    @given(model_and_operator(), st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_each_commutator_moves_the_weight_by_one(self, case, reach):
+        model, op = case
+        terms, _ = W._pack_operator(op, model)
+        for p in terms:
+            assert {abs(weight(q) - weight(p)) for q in W._commute({p: 1}, model)} <= {1}
+        full = W._commute(terms, model)
+        pruned = W._commute(terms, model, reach)
+        assert pruned == {q: c for q, c in full.items() if weight(q) <= reach}
+
+    def test_a_reach_one_lower_changes_a_golden_coefficient(self, monkeypatch):
+        golden = [Fraction(x) for x in ("1", "-1", "3/5", "-81/280", "3023/25200")]
+        assert density_coefficients(infinite_chain(1), 5).even_values() == golden
+        commute = series.commutator_classes
+        monkeypatch.setattr(
+            series, "commutator_classes", lambda c, model, reach: commute(c, model, reach - 1)
+        )
+        assert density_coefficients(infinite_chain(1), 5).even_values() != golden
+
+    def test_words_built_stay_pruned(self, monkeypatch):
+        # unpruned, this series builds 726,130 words, 491,942 at its last order
+        built = []
+        commute = W._commute
+
+        def counted(terms, model, reach=None):
+            out = commute(terms, model, reach)
+            built.append(len(out))
+            assert sum(built) <= 50_000
+            return out
+
+        monkeypatch.setattr(W, "_commute", counted)
+        density_coefficients(infinite_chain(3), 6)
+        assert len(built) == 11
+        assert built[-1] <= 1_000
