@@ -255,10 +255,12 @@ class _OrbitSector:
         """The number of excited sites of each orbit, read from its first state."""
         return sum(self.firsts >> k & 1 for k in range(self.model.size))
 
-    def _check_generators(self) -> None:
+    @cached_property
+    def _generators_checked(self) -> bool:
         """Refuse flips that do not commute with each generator g, in
         integers on every state: s flips by p exactly when g(s) flips by
-        g(p).  A state's patterns are packed into one integer, a bit each."""
+        g(p).  A state's patterns are packed into one integer, a bit each.
+        Read once per sector, however many drives are built from it."""
         states, model = self.states, self.model
         slots: dict = {}  # pattern -> its bit
         flipped = np.zeros_like(states)
@@ -276,11 +278,12 @@ class _OrbitSector:
                 raise ValueError(
                     f"drive of {model} is not symmetric under its lattice permutation at state {s}"
                 )
+        return True
 
     def _edges(self, m: int) -> np.ndarray:
         """The flips out of the first state of each orbit r, in order, as keys
         (r n + r') m + l: r' the target's orbit, l mod m its power."""
-        self._check_generators()
+        self._generators_checked  # the every-state check, once per sector
         rows, targets = [], []
         for pattern, allowed in _flips(self.firsts, self.model.neighborhood_masks):
             rows.append(np.flatnonzero(allowed))

@@ -34,13 +34,14 @@ and on L not at all (L sets where the tail starts), so the t-free part of
 each tail order is solved once per process and tabled in ``_TABLES``, keyed
 by ``(lambda_b, ell, observable_class)`` (``ell`` is 1 for the density,
 which does not read it).  A table holds two float64 columns, 16 bytes per
-order from order 1: the log omega product to 2j and omega_(2j+1)
-omega_(2j+2) for the nearest-neighbour density, the log coefficient bound
-and the tau of the ratio majorant for the kappa forms.  An envelope call
-reads the orders it sums from the table and solves only the orders no
-earlier call reached.  The tables live as long as the process.  Every solve
-is elementwise and the omega product one sequential sum, so a tabled value
-never depends on when its table grew.
+order, in pieces of consecutive orders: the log omega product to 2j and
+omega_(2j+1) omega_(2j+2) for the nearest-neighbour density, the log
+coefficient bound and the tau of the ratio majorant for the kappa forms.  An
+envelope call reads the orders it sums from the table and solves only the
+pieces it reads that no earlier call solved, and for the omega product,
+a running sum, every piece before them too.  The tables live as long as the
+process.  Every solve is elementwise and the omega product one sequential
+sum, so a tabled value never depends on when its table grew.
 
 All functions are pure in what they return: equal arguments give equal bits,
 whatever was tabled before.  They are thread-safe: one lock serialises the
@@ -249,31 +250,36 @@ def _table_columns(key: tuple, j: np.ndarray, log_product: float):
     )
 
 
-def _grow(key: tuple, need: int) -> tuple:
-    """Table ``key`` through order ``need`` at least, installed in _TABLES.
+def _grow(key: tuple, first: int, last: int) -> tuple:
+    """Table ``key`` with pieces ``first``..``last`` solved, installed in
+    _TABLES.
 
-    A table is its piece size and a tuple of complete pieces, piece i a
-    2 x size array of the two columns at orders i size + 1 .. (i + 1) size.
-    Growth appends pieces and installs the longer tuple; no piece is copied
-    or written again.
+    A table is its piece size and a tuple of pieces, piece i a 2 x size
+    array of the two columns at orders i size + 1 .. (i + 1) size, or None
+    while no call has read it.  The kappa forms are elementwise, so only the
+    pieces asked for are solved; the omega product is a running sum, so the
+    nearest-neighbour density solves every piece from the first.  Growth
+    installs a new tuple; no piece is copied or written again.
     """
     with _GROWING:
         size, pieces = _TABLES.get(key, (_CHUNK_CAP, ()))
-        grown = list(pieces)
-        while len(grown) * size < need:
-            j = np.arange(len(grown) * size + 1, (len(grown) + 1) * size + 1)
-            log_product = grown[-1][0, -1] if grown else 0.0
-            grown.append(np.array(_table_columns(key, j, log_product)))
+        grown = list(pieces) + [None] * (last + 1 - len(pieces))
+        running = key[0] == 1 and key[2] == "density"
+        for i in range(0 if running else first, last + 1):
+            if grown[i] is None:
+                j = np.arange(i * size + 1, (i + 1) * size + 1)
+                log_product = grown[i - 1][0, -1] if running and i else 0.0
+                grown[i] = np.array(_table_columns(key, j, log_product))
         table = _TABLES[key] = size, tuple(grown)
         return table
 
 
 def _tail_rows(key: tuple, lo: int, hi: int) -> np.ndarray:
     """Both columns of table ``key`` at orders lo..hi-1 (lo >= 1), as rows."""
-    size, pieces = _TABLES.get(key, (0, ()))
-    if len(pieces) * size < hi - 1:
-        size, pieces = _grow(key, hi - 1)
+    size, pieces = _TABLES.get(key, (_CHUNK_CAP, ()))
     first, last = (lo - 1) // size, (hi - 2) // size
+    if len(pieces) <= last or any(p is None for p in pieces[first : last + 1]):
+        size, pieces = _grow(key, first, last)
     rows = pieces[first] if first == last else np.concatenate(pieces[first : last + 1], axis=1)
     offset = lo - 1 - first * size
     return rows[:, offset : offset + hi - lo]

@@ -17,9 +17,10 @@ budget are refused from the closed-form dimension, before any basis is
 built.  The spectral diagnostics need the whole spectrum, not only the
 vacuum's sector.  They split the blockade space into Bloch blocks, one per
 character of the rotation by one site on a ring (L blocks) or of the
-reflection on a line (two blocks), and diagonalise each block, uncached:
-on a 14-site ring no block is wider than 64 states, against 843 in the
-whole space.
+reflection on a line (two blocks), and diagonalise one block per distinct
+spectrum: a complex block and its conjugate share one solve, so a 14-site
+ring takes 8 solves, none wider than 64 states against 843 in the whole
+space, and a line's symmetric block is the cached sector eigensystem.
 
 The Taylor oracle is the package's independent route to the series
 coefficients: powers of the drive matrix applied to the initial vector are
@@ -53,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import _matrix, _matvec, _sector, blockade_dimension
+from .basis import _matrix, _matvec, _sector, _symmetries, blockade_dimension
 from .series import (
     ObservableSpec,
     _observable_word,
@@ -403,20 +404,30 @@ def spectral_checks(model: ModelSpec) -> SpectralReport:
         H_k(r', r) = sum e^(2 pi i k l / m) sqrt(n_r / n_r'),
 
     summed over the flips of orbit r's first state that land on
-    g^l(first state of r'); it is real when 2k = 0 (mod m).  One `eigh` per
-    block gives the spectrum as the sorted union of the block spectra, and
-    the block dimensions must add up to the blockade dimension.  The parity
-    is constant on an orbit, so an eigenvector's even weight is its weight
-    on the even orbits of its block, and parity anticommutes with the drive
-    when every orbit flip edge joins opposite parities.  The norm and the
-    evenness are read from the real k = 0 block, where the vacuum is alone
-    in orbit 0, at ``_SAMPLE_TIMES`` and their negatives.  Nothing is
-    cached: each caller asks once per lattice.  Over-budget lattices are
-    refused before the basis is built, and a drive that is not symmetric,
-    or does not commute with g, before any `eigh`.
+    g^l(first state of r'); it is real when 2k = 0 (mod m).  Block m - k
+    has the members of block k and is its complex conjugate, with the same
+    real spectrum and conjugate eigenvectors, so only k = 0..m/2 are solved
+    and a complex block's spectrum counts twice.  On a line g generates the
+    whole lattice group, so its k = 0 block is the sector drive of `evolve`,
+    read from the cached `_sector_eigensystem` (solved there if need be),
+    and one `eigh` is left for k = 1.  The spectrum is the sorted union of
+    the block spectra, and the block dimensions must add up to the blockade
+    dimension.  The parity is constant on an orbit, so an eigenvector's
+    even weight is its weight on the even orbits of its block, and parity
+    anticommutes with the drive when every orbit flip edge joins opposite
+    parities.  The norm and the evenness are read from the real k = 0
+    block, where the vacuum is alone in orbit 0, at ``_SAMPLE_TIMES`` and
+    their negatives.  Over-budget lattices are refused before the basis is
+    built, a drive that does not commute with g before any `eigh`, and a
+    block that is not Hermitian before its own `eigh` (a line's k = 0
+    block is the orbit drive, which `drive` checks symmetric).
     """
-    _check_dense_budget(model)
-    sector = _sector(model, "cyclic")
+    whole = len(_symmetries(model)) == 1  # a line: the cyclic group is the lattice group
+    if whole:  # its k = 0 block is the sector drive of `evolve`, checked before its eigh
+        sector, *lattice = _sector_eigensystem(model)
+    else:
+        _check_dense_budget(model)
+        sector = _sector(model, "cyclic")
     src, dst, power, counts = sector.bloch_edges()  # g and the symmetry checked in integers
     m, sizes = sector.order, sector.sizes
     odd = sector.ones % 2 == 1
@@ -425,16 +436,20 @@ def spectral_checks(model: ModelSpec) -> SpectralReport:
     hops = counts * np.sqrt(sizes[src] / sizes[dst])
 
     spectra, weight_defect = [], 0.0
-    for k in range(m):
+    for k in range(m // 2 + 1):  # block m - k is the conjugate of block k
         members = np.flatnonzero(k * sizes % m == 0)
-        slot = np.full(sizes.size, -1)
-        slot[members] = np.arange(members.size)
-        edge = (slot[src] >= 0) & (slot[dst] >= 0)
-        values = hops[edge] * np.exp(2j * np.pi * (k * power[edge] % m) / m)
-        block = np.zeros((members.size,) * 2, dtype=complex)
-        np.add.at(block, (slot[dst[edge]], slot[src[edge]]), values)
-        energies, vectors = np.linalg.eigh(block.real if 2 * k % m == 0 else block)
-        spectra.append(energies)
+        real = 2 * k % m == 0
+        if k == 0 and whole:
+            energies, vectors = lattice
+        else:
+            slot = np.full(sizes.size, -1)
+            slot[members] = np.arange(members.size)
+            edge = (slot[src] >= 0) & (slot[dst] >= 0)
+            values = hops[edge] * np.exp(2j * np.pi * (k * power[edge] % m) / m)
+            block = np.zeros((members.size,) * 2, dtype=complex)
+            np.add.at(block, (slot[dst[edge]], slot[src[edge]]), values)
+            energies, vectors = np.linalg.eigh(block.real if real else block)
+        spectra += [energies] * (1 if real else 2)
         even_weight = np.sum(np.abs(vectors[~odd[members]]) ** 2, axis=0)
         nonzero = np.abs(energies) > 1e-8
         if nonzero.any():

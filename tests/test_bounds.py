@@ -439,6 +439,30 @@ class TestTailTables:
             bounds.log_error_envelope(*c)
             assert solved == [majorant]
 
+    @pytest.mark.parametrize(
+        "case",
+        [(10**6, 2, 1, 0.5, "density"), (10**6, 3, 1, 0.3, "density"), (10**6, 1, 3, 0.5, "word")],
+    )
+    def test_long_chain_solves_only_the_pieces_it_reads(self, case, solved, monkeypatch):
+        # a kappa form is elementwise: a tail that starts past order 3e5
+        # solves the pieces it sums, not every piece from order 1
+        self.cold(monkeypatch)
+        deepest = [0]
+        rows = bounds._tail_rows
+        monkeypatch.setattr(
+            bounds, "_tail_rows",
+            lambda key, lo, hi: deepest.append(hi - 1) or rows(key, lo, hi),
+        )
+        got = bounds.log_error_envelope(*case)
+        piece = 2 * bounds._CHUNK_CAP
+        assert max(deepest) > 50 * piece
+        assert sum(solved) <= 2 * piece + 2
+        # the same bits as from a table filled from order 1
+        self.cold(monkeypatch)
+        _, lam, ell, _, cls = case
+        rows((lam, ell if cls == "word" else 1, cls), 1, max(deepest) + 1)
+        assert bounds.log_error_envelope(*case) == got
+
     def test_threads_agree_with_serial(self, monkeypatch):
         calls = [
             (L2, lam, ell, t2, cls)

@@ -502,38 +502,124 @@ class TestG2:
 
 
 def recorded_eigh(monkeypatch):
-    """Wrap `np.linalg.eigh` to record the eigenvalues of every call."""
+    """Wrap `np.linalg.eigh` to record the eigenvalues of every call, and
+    whether its matrix was complex."""
     calls = []
     eigh = np.linalg.eigh
 
     def recording(a, *args, **kwargs):
         energies, vectors = eigh(a, *args, **kwargs)
-        calls.append(energies)
+        calls.append((energies, np.iscomplexobj(a)))
         return energies, vectors
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     return calls
 
 
+def bloch_block(sector, k):
+    """The Bloch block of character k of a cyclic sector, built from the
+    formula of `spectral_checks`, with its members."""
+    src, dst, power, counts = sector.bloch_edges()
+    m, sizes = sector.order, sector.sizes
+    members = np.flatnonzero(k * sizes % m == 0)
+    slot = {int(r): i for i, r in enumerate(members)}
+    block = np.zeros((members.size,) * 2, dtype=complex)
+    for r, c, l, n in zip(src.tolist(), dst.tolist(), power.tolist(), counts.tolist()):
+        if r in slot and c in slot:
+            phase = np.exp(2j * np.pi * (k * l % m) / m)
+            block[slot[c], slot[r]] += n * math.sqrt(sizes[r] / sizes[c]) * phase
+    return block, members
+
+
+def level_sums(energies, weights):
+    """``weights`` summed over each level of ``energies`` (ascending; levels
+    closer than 1e-8 are one), which no choice of eigenbasis changes."""
+    level = np.concatenate(([0], np.cumsum(np.diff(energies) > 1e-8)))
+    return np.bincount(level, weights)
+
+
 class TestSpectralChecks:
     @pytest.mark.parametrize("topology", [ring, line])
     @pytest.mark.parametrize("lam", [1, 2, 3])
     def test_block_spectra_are_the_full_spectrum(self, monkeypatch, topology, lam):
+        # a complex block also stands for its conjugate, block m - k, and a
+        # line's k = 0 block is the sector eigensystem, solved from cold
         calls = recorded_eigh(monkeypatch)
         for L in range(lam + 1 if topology is ring else 1, 15):
             model = topology(L, lam)
             full = np.linalg.eigvalsh(hamiltonian_matrix(model, build_basis(model)).to_dense())
+            dynamics._sector_eigensystem.cache_clear()
             calls.clear()
             rep = spectral_checks(model)
-            assert rep.dimension == full.size == sum(e.size for e in calls)
-            union = np.sort(np.concatenate(calls))
+            spectra = [e for e, complex_ in calls for _ in range(2 if complex_ else 1)]
+            assert rep.dimension == full.size == sum(e.size for e in spectra)
+            union = np.sort(np.concatenate(spectra))
             assert np.max(np.abs(union - full), initial=0.0) <= 1e-12, model
+
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_skipped_conjugate_blocks_repeat_their_partner(self, lam):
+        # block m - k, never solved, has block k's spectrum and even weights
+        for L in range(lam + 1, 15):
+            model = ring(L, lam)
+            sector = basis._sector(model, "cyclic")
+            odd = sector.ones % 2 == 1
+            for k in range(1, (L + 1) // 2):
+                block, members = bloch_block(sector, k)
+                skipped, same = bloch_block(sector, L - k)
+                assert np.array_equal(members, same)
+                assert np.max(np.abs(skipped - block.conj()), initial=0.0) <= 1e-12
+                (e, v), (e2, v2) = np.linalg.eigh(block), np.linalg.eigh(skipped)
+                assert np.max(np.abs(e2 - e), initial=0.0) <= 1e-12, (model, k)
+                even = [np.sum(np.abs(u[~odd[members]]) ** 2, axis=0) for u in (v, v2)]
+                sums = [level_sums(e, w) for w in even]
+                assert np.max(np.abs(sums[1] - sums[0]), initial=0.0) <= 1e-12, (model, k)
+                if np.all(np.diff(e) > 1e-8):  # single levels: vector for vector
+                    assert np.max(np.abs(even[1] - even[0]), initial=0.0) <= 1e-12
+
+    def test_one_eigensolve_per_distinct_spectrum(self, monkeypatch):
+        calls = recorded_eigh(monkeypatch)
+        for L in range(3, 15):
+            calls.clear()
+            spectral_checks(ring(L))
+            assert len(calls) == L // 2 + 1, L
+        for L in (4, 9, 12):
+            model = line(L)
+            dynamics._sector_eigensystem.cache_clear()
+            evolve(model, density(), [0.5])
+            calls.clear()
+            spectral_checks(model)  # only the k = 1 block: k = 0 is the sector's
+            assert len(calls) == 1
+            dynamics._sector_eigensystem.cache_clear()
+            spectral_checks(model)
+            calls.clear()
+            evolve(model, density(), [0.5])
+            assert calls == []
+
+    def test_one_every_state_check_per_sector(self, monkeypatch):
+        # `evolve` and `spectral_checks` on a line share one sector, whose
+        # drive and Bloch edges both need the every-state generator check
+        model = line(10)
+        checked = []
+        flips = basis._flips
+        dimension = basis.blockade_dimension(model)
+
+        def counting(states, masks):
+            checked.append(states.size == dimension)
+            return flips(states, masks)
+
+        monkeypatch.setattr(basis, "_flips", counting)
+        dynamics._sector_eigensystem.cache_clear()
+        evolve(model, density(), [0.5])
+        spectral_checks(model)
+        spectral_checks(model)
+        assert sum(checked) == 1
 
     @pytest.mark.parametrize("model, widest", [(ring(14), 64), (line(12), 195)])
     def test_blocks_are_small(self, monkeypatch, model, widest):
         calls = recorded_eigh(monkeypatch)
+        dynamics._sector_eigensystem.cache_clear()
         spectral_checks(model)
-        assert max(e.size for e in calls) <= widest
+        assert max(e.size for e, _ in calls) <= widest
 
     @pytest.mark.parametrize("model", [ring(8), line(9)])
     def test_drive_that_breaks_the_lattice_symmetry_refused(self, monkeypatch, model):
@@ -549,6 +635,7 @@ class TestSpectralChecks:
             raise AssertionError("eigh ran on blocks that are not the drive")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
+        dynamics._sector_eigensystem.cache_clear()  # a cached line sector was checked before
         with pytest.raises(ValueError, match=re.escape(f"drive of {model} is not symmetric under")):
             spectral_checks(model)
 
