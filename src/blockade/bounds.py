@@ -31,28 +31,26 @@ negligible.
 
 A tail term and its ratio majorant depend on t only through powers of t,
 and on L not at all (L sets where the tail starts), so the t-free part of
-each tail order is solved once per process and tabled in ``_TABLES``, keyed
-by ``(lambda_b, ell, observable_class)`` (``ell`` is 1 for the density,
-which does not read it).  A table holds two float64 columns, 16 bytes per
-order, in pieces of consecutive orders: the log omega product to 2j and
-omega_(2j+1) omega_(2j+2) for the nearest-neighbour density, the log
-coefficient bound and the tau of the ratio majorant for the kappa forms.  An
-envelope call reads the orders it sums from the table and solves only the
-pieces it reads that no earlier call solved, and for the omega product,
-a running sum, every piece before them too.  The tables live as long as the
-process.  Every solve is elementwise and the omega product one sequential
-sum, so a tabled value never depends on when its table grew.
+the tail orders is memoised: ``_piece`` solves a piece of consecutive orders
+of the table keyed by ``(lambda_b, ell, observable_class)`` (``ell`` is 1
+for the density), two float64 columns at 16 bytes per order, under an
+``lru_cache`` that holds as many pieces as two of the deepest tails a
+default call can sum (about 31 MB); an evicted piece is solved again when
+next read.  The nearest-neighbour density's omega product is a running sum,
+so its envelope reads the pieces below its tail in order before it sums.
+Every solve is elementwise and the product one sequential sum, so a piece
+has the same bits whenever it is solved.
 
 All functions are pure in what they return: equal arguments give equal bits,
-whatever was tabled before.  They are thread-safe: one lock serialises the
-growth of the tables, and a grown table is installed by one store of a tuple
-of complete pieces, none of which is written again.
+whatever was cached before.  They are thread-safe through ``lru_cache``:
+threads that miss the same piece may each solve it, to the same bits, and a
+returned piece is read-only, since every caller shares it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +81,8 @@ _OVERFLOW_LOG = math.log(1e306)
 _HALLEY_STEPS = 2  # from the seed below, converged to rounding for a in (1e-300, 1e300)
 _CHUNK_FIRST = 256  # tail chunks double from here up to the cap, which bounds
 _CHUNK_CAP = 2048  # memory and keeps the arrays of a chunk in cache; tail tables
-# grow in pieces of _CHUNK_CAP orders for the same reason
+# are memoised in pieces of _CHUNK_CAP orders for the same reason
+_TABLE_PIECES = 2 * math.ceil(TAIL_TERM_CAP / _CHUNK_CAP)  # two of the deepest tails
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 
 
@@ -136,11 +135,11 @@ def _check_range(lambda_b: int) -> None:
 def kappa(a: float) -> KappaValue:
     """Maximum of t^(a-t) over t >= 0, returned in log form with tau and omega.
 
-    Raises for a <= 0.  Both defining residuals are verified to RESIDUAL_TOL
-    before returning, so a successful call is itself a certificate.
+    Raises for a non-finite a or a <= 0.  Both defining residuals are verified
+    to RESIDUAL_TOL before returning, so a successful call is a certificate.
     """
-    if a <= 0:
-        raise ValueError(f"kappa needs a > 0, got {a}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"kappa needs a finite a > 0, got {a}")
     tau, om, lk = (float(v[0]) for v in _solve([a]))
     return KappaValue(a=float(a), tau=tau, omega=om, log_kappa=lk)
 
@@ -151,8 +150,8 @@ def log_kappa(a: float) -> float:
 
 def omega(k: int) -> float:
     """omega_k for integer k >= 1."""
-    if k < 1:
-        raise ValueError("omega is tabulated for integer k >= 1")
+    if not 1 <= k < math.inf:
+        raise ValueError(f"omega is tabulated for integer k >= 1, not {k}")
     return float(_solve([k])[1][0])
 
 
@@ -192,8 +191,6 @@ def _log_bounds(j: np.ndarray, lambda_b: int, ell: int, observable_class: str) -
         return log_power + _solve(arg)[2] - _lgamma(2 * j + 1)
     if observable_class == "word":
         arg = j + ell / (2.0 * lambda_b) - 1.0
-        if arg[0] <= 0:
-            raise ValueError(f"kappa argument {arg[0]} not positive at order {j[0]}")
         return j * math.log(12.0 * lambda_b) + _solve(arg)[2] - _lgamma(j + 1)
     raise ValueError(f"unknown observable class {observable_class!r}")
 
@@ -208,19 +205,18 @@ def coefficient_bound(
 
     ``observable_class="density"`` bounds the coefficient of t^(2j) in the
     density series; ``"word"`` bounds the coefficient of t^j of a word of
-    length ``ell``.  Only j >= 1 is meaningful (the order-0 word coefficient
-    is an expectation value, not a commutator count).
+    length ``ell >= 1``.  Only j >= 1 is meaningful (the order-0 word
+    coefficient is an expectation value, not a commutator count).
     """
     _check_range(lambda_b)
+    if observable_class == "word" and ell < 1:
+        raise ValueError(f"a word needs ell >= 1, not ell={ell}")
     return float(_log_bounds(np.array([j]), lambda_b, ell, observable_class)[0])
 
 
 # ---------------------------------------------------------------------------
 # tail tables
 # ---------------------------------------------------------------------------
-
-_TABLES: dict = {}  # (lambda_b, ell, observable_class) -> (piece size, pieces)
-_GROWING = threading.Lock()
 
 
 def _majorant_argument(j: np.ndarray, lambda_b: int, ell: int, observable_class: str):
@@ -236,53 +232,31 @@ def _majorant_argument(j: np.ndarray, lambda_b: int, ell: int, observable_class:
     return j + float(max(1, math.ceil(ell / (2.0 * lambda_b))))
 
 
-def _table_columns(key: tuple, j: np.ndarray, log_product: float):
-    """The two t-free columns of table ``key`` at consecutive orders j;
-    ``log_product`` is ln(omega_1 ... omega_(2 j[0] - 2))."""
+@functools.lru_cache(maxsize=_TABLE_PIECES)
+def _piece(key: tuple, size: int, i: int) -> np.ndarray:
+    """Read-only rows of the two t-free columns of tail table ``key`` at
+    orders i size + 1 .. (i + 1) size: the log omega product to 2j, a running
+    sum from the end of piece i - 1, and omega_(2j+1) omega_(2j+2) for the
+    nearest-neighbour density; the log coefficient bound and the tau of the
+    ratio majorant for the kappa forms."""
     lambda_b, ell, observable_class = key
+    j = np.arange(i * size + 1, (i + 1) * size + 1)
     if observable_class == "density" and lambda_b == 1:
+        log_product = _piece(key, size, i - 1)[0, -1] if i else 0.0
         om = _solve(np.arange(2 * j[0] - 1, 2 * j[-1] + 3))[1]  # omega_{2j0-1..2jn+2}
         prefix = np.cumsum(np.concatenate(([log_product], np.log(om[:-2]))))
-        return prefix[2::2], om[2::2] * om[3::2]
-    return (
-        _log_bounds(j, lambda_b, ell, observable_class),
-        _solve(_majorant_argument(j, *key))[0],
-    )
-
-
-def _grow(key: tuple, first: int, last: int) -> tuple:
-    """Table ``key`` with pieces ``first``..``last`` solved, installed in
-    _TABLES.
-
-    A table is its piece size and a tuple of pieces, piece i a 2 x size
-    array of the two columns at orders i size + 1 .. (i + 1) size, or None
-    while no call has read it.  The kappa forms are elementwise, so only the
-    pieces asked for are solved; the omega product is a running sum, so the
-    nearest-neighbour density solves every piece from the first.  Growth
-    installs a new tuple; no piece is copied or written again.
-    """
-    with _GROWING:
-        size, pieces = _TABLES.get(key, (_CHUNK_CAP, ()))
-        grown = list(pieces) + [None] * (last + 1 - len(pieces))
-        running = key[0] == 1 and key[2] == "density"
-        for i in range(0 if running else first, last + 1):
-            if grown[i] is None:
-                j = np.arange(i * size + 1, (i + 1) * size + 1)
-                log_product = grown[i - 1][0, -1] if running and i else 0.0
-                grown[i] = np.array(_table_columns(key, j, log_product))
-        table = _TABLES[key] = size, tuple(grown)
-        return table
+        rows = np.array((prefix[2::2], om[2::2] * om[3::2]))
+    else:
+        rows = np.array((_log_bounds(j, *key), _solve(_majorant_argument(j, *key))[0]))
+    rows.setflags(write=False)
+    return rows
 
 
 def _tail_rows(key: tuple, lo: int, hi: int) -> np.ndarray:
-    """Both columns of table ``key`` at orders lo..hi-1 (lo >= 1), as rows."""
-    size, pieces = _TABLES.get(key, (_CHUNK_CAP, ()))
-    first, last = (lo - 1) // size, (hi - 2) // size
-    if len(pieces) <= last or any(p is None for p in pieces[first : last + 1]):
-        size, pieces = _grow(key, first, last)
-    rows = pieces[first] if first == last else np.concatenate(pieces[first : last + 1], axis=1)
-    offset = lo - 1 - first * size
-    return rows[:, offset : offset + hi - lo]
+    """Both columns of table ``key`` at orders lo..hi-1 (lo >= 1), as rows,
+    cut short at the end of the piece that holds order lo."""
+    i, offset = divmod(lo - 1, _CHUNK_CAP)
+    return _piece(key, _CHUNK_CAP, i)[:, offset : offset + hi - lo]
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +276,9 @@ def _certified_tail_log(chunk, ratio, start: int, max_terms: int, t: float) -> f
     """Log of a certified upper bound on sum_{i >= start} exp(log_term(i)).
 
     ``chunk(lo, hi)`` gives the log terms and the ratio majorants at indices
-    lo..hi-1 as arrays; it is called on consecutive ranges from ``start``,
-    which double in length up to a cap.  The majorant at i must dominate
+    lo..hi-1 as arrays, or at a shorter run from lo (a chunk may stop at the
+    end of a table piece); it is called on consecutive ranges from ``start``,
+    whose asked lengths double up to a cap.  The majorant at i must dominate
     every term ratio term_{i+1}/term_i from index i onwards (monotone
     decreasing); ``ratio`` evaluates it alone at an index array.  Terms are
     summed until the geometric closure term_i * rho/(1-rho) drops below the
@@ -323,8 +298,8 @@ def _certified_tail_log(chunk, ratio, start: int, max_terms: int, t: float) -> f
     partial = -math.inf  # log of the sum of the terms before lo
     lo, size = start, _CHUNK_FIRST
     while lo <= last:
-        hi = min(lo + size, last + 1)
-        x, rho = chunk(lo, hi)
+        x, rho = chunk(lo, min(lo + size, last + 1))
+        hi = lo + x.size
         sums = np.logaddexp.accumulate(np.concatenate(([partial], x)))[1:]
         with np.errstate(divide="ignore", invalid="ignore"):
             log_rem = x + np.log(rho) - np.log1p(-rho)
@@ -380,8 +355,11 @@ def log_error_envelope(
         t2 = 36.0 * t * t
 
         def chunk_nn(lo, hi):
+            if lo == start:  # the pieces below in order, so the running sum recurses one deep
+                for i in range((lo - 1) // _CHUNK_CAP):
+                    _piece(key, _CHUNK_CAP, i)
             log_product, om2 = _tail_rows(key, lo, hi)
-            return log23 + 2 * np.arange(lo, hi) * log6t - log_product, t2 / om2
+            return log23 + 2 * np.arange(lo, lo + om2.size) * log6t - log_product, t2 / om2
 
         def ratio_nn(j):
             om = _solve(2 * j[:, None] + np.array([1, 2]))[1]
@@ -406,7 +384,7 @@ def log_error_envelope(
 
     def chunk(lo, hi):
         log_bound, tau = _tail_rows(key, lo, hi)
-        j = np.arange(lo, hi)
+        j = np.arange(lo, lo + tau.size)
         return log2 + log_bound + j * log_t_power, majorant(j, tau)
 
     def ratio(j):
@@ -451,4 +429,6 @@ def convergence_ratio(L: int, lambda_b: int = 1, ell: int = 1, t: float = 1.0) -
         raise ValueError("chain too short for the requested observable length")
     if L <= 2 * lambda_b:
         raise ValueError("ratio bound needs L > 2*lambda_b")
+    if not math.isfinite(t):
+        raise ValueError("time must be finite")
     return 12.0 * lambda_b * abs(t) / math.log(L / (2.0 * lambda_b))

@@ -175,6 +175,16 @@ class TestKappa:
         with pytest.raises(ValueError):
             bounds.kappa(-3.0)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_before_solving(self, a, solved):
+        with pytest.raises(ValueError) as err:
+            bounds.kappa(a)
+        assert str(err.value) == f"kappa needs a finite a > 0, got {a}"
+        with pytest.raises(ValueError) as err:
+            bounds.omega(a)
+        assert str(err.value) == f"omega is tabulated for integer k >= 1, not {a}"
+        assert solved == []
+
     def test_large_argument_shift_asymptotics(self):
         a = 1e4
         ratio = math.exp(bounds.log_kappa(a - 1) - bounds.log_kappa(a))
@@ -361,7 +371,7 @@ class TestChunkedTail:
         for first, cap in layouts:  # closure last of one chunk, first of the next, ...
             monkeypatch.setattr(bounds, "_CHUNK_FIRST", first)
             monkeypatch.setattr(bounds, "_CHUNK_CAP", cap)
-            monkeypatch.setattr(bounds, "_TABLES", {})  # grown in pieces of `cap` orders
+            bounds._piece.cache_clear()  # read in pieces of `cap` orders
             # the bounded depth first: a wrong piece seam fails here at once
             # instead of leaving the full-depth tail unclosed for 10^6 terms
             assert self._closing_depth_is(case, depth) == want
@@ -369,8 +379,9 @@ class TestChunkedTail:
 
 
 class TestTailTables:
-    """The t- and L-free tail tables: shared by every envelope call, solved
-    once per order, and invisible in the values."""
+    """The memoised t- and L-free tail pieces: shared by every envelope call,
+    solved once per order while cached, bounded in number, and invisible in
+    the values."""
 
     # one case per tail form: the omega product, the kappa density, and words
     # read through tau(n + 1) (ell <= 2 lambda) and tau(n + 2) (ell > 2
@@ -383,16 +394,16 @@ class TestTailTables:
     ]
 
     @staticmethod
-    def cold(monkeypatch):
-        monkeypatch.setattr(bounds, "_TABLES", {})
+    def cold():
+        bounds._piece.cache_clear()
 
     @pytest.mark.parametrize("case", FORMS, ids=TestChunkedTail.case_id)
-    def test_warm_table_never_moves_a_value(self, case, monkeypatch):
+    def test_warm_table_never_moves_a_value(self, case):
         L, lam, ell, t, cls = case
         calls = [(L2, lam, ell, t2, cls) for L2 in (L, L + 1, L + 7) for t2 in (0.2, 0.5, t)]
         want = {}
         for c in calls:  # each from cold tables
-            self.cold(monkeypatch)
+            self.cold()
             want[c] = bounds.log_error_envelope(*c)
         for before in (
             (L, lam, ell, t + 0.1, cls),  # deeper: a larger t
@@ -400,12 +411,12 @@ class TestTailTables:
             (max(ell, 3), lam, ell, t, cls),  # another L, whose tail starts sooner
         ):
             for c in calls:
-                self.cold(monkeypatch)
+                self.cold()
                 bounds.log_error_envelope(*before)
                 assert bounds.log_error_envelope(*c) == want[c]
         rng = np.random.default_rng(7)
         for _ in range(3):
-            self.cold(monkeypatch)
+            self.cold()
             for i in rng.permutation(len(calls)):
                 assert bounds.log_error_envelope(*calls[i]) == want[calls[i]]
 
@@ -421,7 +432,7 @@ class TestTailTables:
     def test_each_order_solved_once(self, calls, majorant, solved, monkeypatch):
         # every form solves two elements per order: two omegas, or the
         # kappa of the bound and the tau of the majorant
-        self.cold(monkeypatch)
+        self.cold()
         deepest = [0]
         rows = bounds._tail_rows
         monkeypatch.setattr(
@@ -446,7 +457,7 @@ class TestTailTables:
     def test_long_chain_solves_only_the_pieces_it_reads(self, case, solved, monkeypatch):
         # a kappa form is elementwise: a tail that starts past order 3e5
         # solves the pieces it sums, not every piece from order 1
-        self.cold(monkeypatch)
+        self.cold()
         deepest = [0]
         rows = bounds._tail_rows
         monkeypatch.setattr(
@@ -458,21 +469,22 @@ class TestTailTables:
         assert max(deepest) > 50 * piece
         assert sum(solved) <= 2 * piece + 2
         # the same bits as from a table filled from order 1
-        self.cold(monkeypatch)
+        self.cold()
         _, lam, ell, _, cls = case
-        rows((lam, ell if cls == "word" else 1, cls), 1, max(deepest) + 1)
+        for i in range(max(deepest) // bounds._CHUNK_CAP + 1):
+            bounds._piece((lam, ell if cls == "word" else 1, cls), bounds._CHUNK_CAP, i)
         assert bounds.log_error_envelope(*case) == got
 
-    def test_threads_agree_with_serial(self, monkeypatch):
+    def test_threads_agree_with_serial(self):
         calls = [
             (L2, lam, ell, t2, cls)
             for L, lam, ell, t, cls in self.FORMS
             for L2 in (L, L + 5)
             for t2 in (0.3, t)
         ]
-        self.cold(monkeypatch)
+        self.cold()
         want = [bounds.log_error_envelope(*c) for c in calls]
-        self.cold(monkeypatch)
+        self.cold()
         start = threading.Barrier(4, timeout=60)
 
         def run(seed):
@@ -490,6 +502,31 @@ class TestTailTables:
         assert len(results) == 4
         for got in results:
             assert [got[i] for i in range(len(calls))] == want
+
+    def test_cache_stays_bounded_and_eviction_never_moves_a_value(self, monkeypatch):
+        # in pieces of 4 orders one deep tail reads more pieces than the cache
+        # holds, so the pieces it read first are evicted and solved again
+        deep = (18, 1, 1, 1.3, "density")
+        calls = [(10, 1, 1, 1.0, "density"), deep, (9, 2, 1, 0.7, "density"), (10, 1, 2, 0.7, "word")]
+        want = {}
+        for c in calls:  # each from a cold cache, in pieces that are never evicted
+            self.cold()
+            want[c] = bounds.log_error_envelope(*c).hex()
+        monkeypatch.setattr(bounds, "_CHUNK_CAP", 4)
+        self.cold()
+        assert bounds.log_error_envelope(*deep).hex() == want[deep]
+        info = bounds._piece.cache_info()
+        assert info.misses > bounds._TABLE_PIECES >= info.currsize
+        for c in calls:
+            assert bounds.log_error_envelope(*c).hex() == want[c]
+            assert bounds._piece.cache_info().currsize <= bounds._TABLE_PIECES
+
+    def test_cold_long_chain_reads_the_running_sum_one_piece_deep(self):
+        # the tail from order 10^6 starts in piece 488; the pieces below it
+        # are read in order first, so no piece recurses through the cache to
+        # piece 0 (which fails near depth 500)
+        self.cold()
+        assert bounds.log_error_envelope(10**6, 1, 1, 0.5).hex() == "-0x1.522746f4b4887p+21"
 
     def test_warm_tables_still_refuse_a_broken_solver(self, monkeypatch):
         for case in self.FORMS:
@@ -537,6 +574,15 @@ class TestDomain:
         # the density does not read ell
         assert math.isfinite(bounds.log_error_envelope(L, lam, ell, 0.05))
 
+    @pytest.mark.parametrize("j, ell", [(2, 0), (5, -2), (1, 0)])
+    def test_word_bound_needs_a_letter(self, j, ell, solved):
+        with pytest.raises(ValueError) as err:
+            bounds.coefficient_bound(j, 1, ell, "word")
+        assert str(err.value) == f"a word needs ell >= 1, not ell={ell}"
+        assert solved == []
+        # the density does not read ell
+        assert math.isfinite(bounds.coefficient_bound(j, 1, ell, "density"))
+
     @pytest.mark.parametrize("lam", [1, 2, 3])
     def test_tail_starts_past_the_universal_column(self, lam, monkeypatch):
         # the envelope sums exactly the orders the series does not certify
@@ -568,3 +614,9 @@ class TestConvergenceRatio:
             bounds.convergence_ratio(2, 1, 1, 1.0)
         with pytest.raises(ValueError):
             bounds.convergence_ratio(3, 2, 10, 1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time(self, t):
+        with pytest.raises(ValueError) as err:
+            bounds.convergence_ratio(100, 1, 1, t)
+        assert str(err.value) == "time must be finite"

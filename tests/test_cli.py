@@ -489,6 +489,9 @@ class TestRefusals:
                 ("bounds", "--table", "envelope", "--L", "2", "--ell", "3", "--cls", "word"),
                 "a word needs 1 <= ell <= L, not ell=3 on L=2 sites",
             ),
+            (("bounds", "--table", "ratio", "--t", "nan"), "time must be finite"),
+            (("bounds", "--table", "ratio", "--t", "inf"), "time must be finite"),
+            (("bounds", "--table", "bj", "--cls", "word", "--ell", "0"), "a word needs ell >= 1, not ell=0"),
             (
                 ("simulate", "--L", "8", "--window-vs", "10", "--epsilon", "nan"),
                 "epsilon must be positive and finite, got nan",
@@ -506,7 +509,8 @@ class TestRefusals:
             "window-g2", "window-correlation", "window-overlay", "jmax-without-overlay",
             "window-jmax", "coeffs-pair-one-site", "correlation-pair-one-site",
             "g2-pair-one-site", "envelope-lambda", "bj-lambda", "ratio-lambda", "envelope-L0",
-            "envelope-L-negative", "envelope-word-longer-than-L", "window-epsilon-nan", "window-epsilon-negative",
+            "envelope-L-negative", "envelope-word-longer-than-L", "ratio-t-nan", "ratio-t-inf",
+            "bj-word-ell0", "window-epsilon-nan", "window-epsilon-negative",
         ],
     )
     def test_flag_refusals(self, capsys, argv, want):
