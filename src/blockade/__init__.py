@@ -10,7 +10,8 @@ The package has five computational layers:
 - `blockade.basis`: the blockade-constrained occupation basis (Fibonacci
   dimensional on open chains) and exact integer matrix representations.
 - `blockade.dynamics`: exact time evolution via dense eigendecomposition,
-  an independent big-integer Taylor oracle, and spectral diagnostics.
+  an independent exact-integer Taylor oracle (multi-modular, in
+  `blockade._residues`), and spectral diagnostics.
 - `blockade.bounds`: rigorous coefficient bounds and certified truncation /
   finite-size error envelopes.
 

@@ -18,7 +18,14 @@ import sys
 
 from . import bounds
 from .bounds import EnvelopeDepthError
-from .dynamics import DimensionBudgetError, evolve, g2, taylor_oracle, universal_window
+from .dynamics import (
+    DimensionBudgetError,
+    _check_dense_budget,
+    evolve,
+    g2,
+    taylor_oracle,
+    universal_window,
+)
 from .series import (
     boundary_deficits,
     coefficient_records,
@@ -174,7 +181,7 @@ def cmd_simulate(args) -> int:
         sub = argparse.Namespace(**vars(args))
         sub.topology = topo.strip()
         models.append((sub.topology, _model_from(sub)))
-    if args.overlay_universal:  # refused, if at all, before any evolution
+    if args.overlay_universal:  # refused, if at all, before any evolution or oracle
         if args.observable != "density":
             raise ValueError(f"--overlay-universal needs --observable density, not {args.observable}")
         lam, jmax = args.lambda_b, args.jmax
@@ -182,6 +189,8 @@ def cmd_simulate(args) -> int:
             jmax = universality_threshold(ring(args.L, lam), density())
         if jmax < 1:
             raise ValueError("--jmax must be at least 1")
+        for _, model in models:  # each lattice's dense budget, from the closed form
+            _check_dense_budget(model)
         # the smallest ring certified size-free through t^(2 jmax) carries
         # the infinite chain's coefficients (`universality_threshold`)
         overlay = taylor_oracle(ring(lam * jmax + 1, lam), density(), jmax).coefficients

@@ -24,8 +24,9 @@ space, and a line's symmetric block is the cached sector eigensystem.
 
 The Taylor oracle is the package's independent route to the series
 coefficients: powers of the drive matrix applied to the initial vector are
-exact integer vectors, and the nested-commutator expectation unfolds into the
-binomial sum
+exact integer vectors, carried as `int64` residues modulo a few primes below
+2^50 and rebuilt once by a signed Chinese remainder, and the nested-commutator
+expectation unfolds into the binomial sum
 
     <ad^M(O)> = sum_m (-1)^m C(M, m) (H^(M-m) e0) . O (H^m e0),
 
@@ -47,14 +48,14 @@ orbit's excitation number from `basis._OrbitSector.ones`.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .basis import _matrix, _matvec, _sector, _symmetries, blockade_dimension
+from . import _residues
+from .basis import _sector, _symmetries, blockade_dimension
 from .series import (
     ObservableSpec,
     _observable_word,
@@ -260,23 +261,23 @@ def evolve(model: ModelSpec, obs: ObservableSpec, times) -> EvolutionResult:
 # ---------------------------------------------------------------------------
 
 
-def _parity_blocks(matrix, parity: list[int], shift: int) -> list[list]:
-    """An orbit matrix (rows, columns, values) as two blocks: for vectors on
-    the orbits of parity p, the rows of the orbits of parity p ^ ``shift``
-    as lists of (column slot, value), slots numbering the orbits of a parity."""
-    slot, count = [], [0, 0]
-    for p in parity:
-        slot.append(count[p])
-        count[p] += 1
-    rows = [[[] for _ in range(n)] for n in count]  # by the parity of the row
-    for r, c, v in zip(*(a.tolist() for a in matrix)):
-        rows[parity[r]][slot[r]].append((slot[c], v))
-    return [rows[shift], rows[1 ^ shift]]
+_CHUNK = 1 << 13  # int64 sums of at most 2^13 products of 25-bit halves stay below 2^63
+
+
+def _kernels(matrix, odd: np.ndarray, shift: int) -> list[tuple]:
+    """An orbit matrix (rows, columns, values) as one `_residues.csr` kernel
+    per parity class p of the vector, onto class p ^ ``shift``, the orbits
+    numbered within their class."""
+    rows, cols, values = matrix
+    slot = np.where(odd, np.cumsum(odd), np.cumsum(1 - odd)) - 1
+    at = [odd[cols] == p for p in (0, 1)]
+    size = [np.sum(odd == p ^ shift) for p in (0, 1)]
+    return [_residues.csr(slot[rows[a]], slot[cols[a]], values[a], m) for a, m in zip(at, size)]
 
 
 def taylor_oracle(model: ModelSpec, obs: ObservableSpec, jmax: int) -> TaylorOracleResult:
     """Exact Taylor data from integer matrix powers, independent of the
-    symbolic engine.  Computes v_m = H^m |vacuum> for m up to 2*jmax by exact
+    symbolic engine.  Computes v_m = H^m |vacuum> for m up to 2*jmax by
     sparse integer matrix-vector products on the orbit-sum coefficients of
     `basis.orbit_sector`, and assembles every nested-commutator expectation
     through the binomial expansion, dividing by the factorial at the very
@@ -290,9 +291,17 @@ def taylor_oracle(model: ModelSpec, obs: ObservableSpec, jmax: int) -> TaylorOra
     exact zeros and the equal terms m and M - m are summed once, from O v_m
     for m <= jmax and the current v alone.  Any other word, such as a lone
     raising operator with non-zero odd orders, takes the full sum over every
-    order, from O v_m and O^T v_m.  A ``jmax`` below 1, the work budget
-    (which counts the full blockade dimension) and the placement of the
-    observable are checked before anything is built.
+    order, from O v_m and O^T v_m.
+
+    The integers are residues (`_residues`) modulo the fewest primes below
+    2^50 whose product exceeds twice |total_M| <= 2^M n ||O|| ||A||^M, fixed
+    before any vector is built: v_m is at most ||A||^m (the drive's largest
+    row sum), O v_m and O^T v_m ||O|| ||A||^m (the observable's largest row
+    or column sum), a dot has n orbits and C(M, .) adds up to 2^M.  With
+    w_m = (N! / m!) v_m, N = 2 jmax, order M sums w_(M-m) . O w_m unweighted,
+    scaled by M! / (N!)^2 in one exact signed Chinese-remainder step.  A
+    ``jmax`` below 1, the work budget (which counts the full blockade
+    dimension) and the placement of the observable are checked first.
     """
     if jmax < 1:
         raise ValueError(f"jmax must be at least 1, not {jmax}")
@@ -310,27 +319,56 @@ def taylor_oracle(model: ModelSpec, obs: ObservableSpec, jmax: int) -> TaylorOra
     if kept.size:
         what = f"drive of {model} keeps the excitation parity"
         raise ValueError(f"{what} between orbits {drive[0][kept[0]]} and {drive[1][kept[0]]}")
-    parity = odd.tolist()
     rows, cols, values = matrix
+    n, sizes = odd.size, np.bincount(odd, minlength=2)
     # a word changes the excitation number by a fixed amount: 0 if it is symmetric
-    shift = parity[rows[0]] ^ parity[cols[0]] if rows.size else 0
-    symmetric = _matrix(sector, matrix).is_symmetric()
-    step, observe = _parity_blocks(drive, parity, 1), _parity_blocks(matrix, parity, shift)
-    transposed = observe if symmetric else _parity_blocks((cols, rows, values), parity, shift)
-    totals = [0] * (max_ad + 1)
-    kets, kets_t = [], []  # O v_b and O^T v_b for b <= jmax
-    v = [1] + [0] * (parity.count(0) - 1)  # the vacuum: orbit 0, the first even one
-    for k in range(max_ad + 1):  # v = v_k, on the orbits of parity k mod 2
-        if k <= jmax:
-            kets.append(_matvec(observe[k & 1], v))
-            kets_t.append(_matvec(transposed[k & 1], v) if not symmetric else kets[-1])
-        for b in range((k ^ shift) & 1, min(k, max_ad - k) + 1, 2):  # the pairs (k, b) that meet
-            term = (-1) ** b * sum(map(operator.mul, v, kets[b]))  # m = b: v_k . O v_b
-            if b < k:  # m = k: v_b . O v_k = O^T v_b . v_k, the same for a symmetric O
-                term += term if symmetric else (-1) ** k * sum(map(operator.mul, v, kets_t[b]))
-            totals[k + b] += math.comb(k + b, b) * term
-        if k < max_ad:
-            v = _matvec(step[k & 1], v)
+    shift = int(odd[rows[0]] ^ odd[cols[0]]) if rows.size else 0
+    keys = [np.stack(e)[:, np.argsort(e[0] * n + e[1])] for e in (matrix, (cols, rows, values))]
+    symmetric = np.array_equal(*keys)  # O^T = O, compared as sorted (row, column, value)
+    # row sums below 2^13, as `_residues.matvec` needs: at most L <= 26, and L^2 (the density)
+    norm_a = int(np.bincount(drive[0], drive[2]).max())
+    norm_o = int(max(np.bincount(i, values).max(initial=0) for i in (rows, cols)))
+    primes = _residues.primes_for(2**max_ad * n * norm_o * norm_a**max_ad)
+    p, pp = primes[:, None], primes[:, None, None]
+    step, observe = _kernels(drive, odd, 1), _kernels(matrix, odd, shift)
+    sides = [observe] if symmetric else [observe, _kernels((cols, rows, values), odd, shift)]
+    # O w_b (and O^T w_b) in halves, on the orbits of parity b ^ shift, at slot b // 2
+    kets = [np.empty((primes.size, s, jmax // 2 + 1, len(sides), 2), np.int64) for s in sizes]
+    factors = np.outer(np.maximum(np.arange(max_ad + 1), 1), np.ones_like(primes))  # 1, 1, .., N
+    factorials = _residues.cumprod(factors, primes)  # k!
+    falling = _residues.cumprod(np.roll(factors, -1, axis=0)[::-1], primes)[::-1]  # N!/k!
+    sums = np.zeros((max_ad + 1, primes.size, 2, 2), dtype=np.int64)  # halves by halves
+    v = np.repeat(np.eye(1, sizes[0], dtype=np.int64), primes.size, axis=0)  # the vacuum: orbit 0
+    for k in range(max_ad + 1):
+        c = k & 1
+        if k:  # v_k = A v_(k-1), on the orbits of parity k mod 2
+            v = _residues.matvec(step[1 - c], v, primes)
+        if k % 32 == 0:  # a sum gains one term below 2^57 a step
+            sums %= pp
+        w = _residues.mulmod(v, falling[k][:, None], p)
+        for side, kernels in enumerate(sides if k <= jmax else []):
+            ket = _residues.halves(_residues.matvec(kernels[c], w, primes))
+            kets[c ^ shift][:, :, k // 2, side] = np.swapaxes(ket, -1, -2)
+        first = (k ^ shift) & 1  # the pairs (k, b) that meet: b = first, first + 2, ..., last
+        last = min(k, max_ad - k) - ((min(k, max_ad - k) ^ first) & 1)
+        if first > last:
+            continue
+        # w_k . O w_b and w_k . O^T w_b from halves, in chunks of 2^13 orbits; a class
+        # has fewer than 2^19 orbits (26 sites at most), so the dots stay below 2^56
+        x, count = _residues.halves(w), (last - first) // 2 + 1
+        y = kets[c][:, :, :count].reshape(primes.size, -1, count * len(sides) * 2)
+        pieces = (x[..., s : s + _CHUNK] @ y[:, s : s + _CHUNK] for s in range(0, n, _CHUNK))
+        dots = sum(piece % pp for piece in pieces)
+        dots = dots.reshape(primes.size, 2, count, len(sides), 2).transpose(2, 0, 1, 3, 4)
+        # m = b: (-1)^b w_k . O w_b; m = k > b: (-1)^k w_b . O w_k = (-1)^k w_k . O^T w_b,
+        # which for a symmetric O is the same term (b and k then have one parity)
+        term = (1 - 2 * first) * dots[..., 0, :] + (-1) ** k * dots[..., -1, :]
+        if last == k:
+            term[-1] = (1 - 2 * first) * dots[-1, ..., 0, :]
+        sums[k + first : k + last + 1 : 2] += term
+    sums = _residues.place(*(sums[..., i, j] % p.T for i in (0, 1) for j in (0, 1)), primes)
+    sums = _residues.mulmod(sums, factorials, primes)  # (N!)^2 total_M
+    totals = _residues.signed_crt(sums, primes, _residues.mulmod(falling[0], falling[0], primes))
 
     scale = observable_scale(obs, model)
     ad_expectations = {M: Fraction(total) * scale for M, total in enumerate(totals)}

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blockade._residues
 import blockade.basis
-import blockade.dynamics
 from blockade.basis import (
     SparseIntMatrix,
     _matrix,
@@ -255,11 +255,11 @@ class TestOrbitSector:
         # orbit counts taken from each orbit's first state alone miss the
         # k + 2 rule on rings 4-7 and line 4; the check on every state does not
         def refuse(*args):
-            raise AssertionError("eigh or a big-integer product ran")
+            raise AssertionError("eigh or a modular matrix-vector product ran")
 
         monkeypatch.setattr(blockade.basis, "_flips", rule)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(blockade.dynamics, "_matvec", refuse)
+        monkeypatch.setattr(blockade._residues, "matvec", refuse)
         _sector_eigensystem.cache_clear()
         message = re.escape(f"drive of {model} is not symmetric under its lattice permutation")
         for route in (

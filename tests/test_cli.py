@@ -1,16 +1,27 @@
 """End-to-end command-line tests: flags, file formats, determinism."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import blockade.words
 from blockade.cli import main
-from blockade import bounds, verify
+from blockade import bounds, cli, verify
 
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
+
+
+def readme_commands():
+    """The ``blockade ...`` lines of the README's "Command line" block, with
+    their continuation lines joined."""
+    text = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", text, re.S).group(1).replace("\\\n", " ")
+    return [" ".join(line.split()) for line in block.splitlines() if line.startswith("blockade ")]
 
 
 def run_cli(capsys, *argv):
@@ -342,6 +353,23 @@ class TestRefusals:
             "needs work 2819476, over the budget of 2000000"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--topology", "line", "--L", "21", "--overlay-universal"),
+            ("--topology", "ring", "--L", "22", "--overlay-universal", "--jmax", "21"),
+        ],
+    )
+    def test_overlay_refused_before_its_oracle(self, capsys, monkeypatch, argv):
+        # an over-budget lattice is refused from the closed form before the
+        # overlay's oracle runs
+        def refuse(*args):
+            raise AssertionError("the overlay's oracle ran")
+
+        monkeypatch.setattr(cli, "taylor_oracle", refuse)
+        msg = self.refused(capsys, "simulate", *argv)
+        assert "dense eigendecomposition needs dimension" in msg
+
     def test_symbolic_order_budget(self, capsys):
         msg = self.refused(capsys, "coeffs", "--topology", "infinite", "--jmax", "7")
         assert "exceeds budget 12" in msg
@@ -546,3 +574,14 @@ class TestRefusals:
         path = tmp_path / "missing" / "kappa.csv"
         msg = self.refused(capsys, "bounds", "--amax", "2", "--output", str(path))
         assert msg == f"blockade: error: [Errno 2] No such file or directory: '{path}'"
+
+
+class TestReadme:
+    def test_block_has_every_command(self):
+        assert len(readme_commands()) == 8
+
+    @pytest.mark.parametrize("command", readme_commands())
+    def test_command_runs(self, capsys, monkeypatch, tmp_path, command):
+        # each command of the README's "Command line" block runs as printed
+        monkeypatch.chdir(tmp_path)
+        assert main(shlex.split(command)[1:]) == 0
