@@ -45,7 +45,6 @@ from .words import (
     vacuum_expectation,
     AdOrderBudgetError,
     dumps_operator,
-    loads_operator,
 )
 
 __version__ = "0.1.0"

@@ -88,9 +88,6 @@ class SparseIntMatrix:
             return NotImplemented
         return self.dimension == other.dimension and self.entries == other.entries
 
-    def sorted_entries(self) -> list[tuple[int, int, int]]:
-        return [(r, c, self.entries[(r, c)]) for r, c in sorted(self.entries)]
-
     def is_symmetric(self) -> bool:
         return all(self.entries.get((c, r)) == v for (r, c), v in self.entries.items())
 
@@ -128,7 +125,7 @@ def _matvec(rows: list, vec: list[int]) -> list[int]:
 
 def dumps_matrix(matrix: SparseIntMatrix) -> str:
     """Coordinate text export: one ``row col value`` line, 1-based, sorted."""
-    return "\n".join(f"{r + 1} {c + 1} {v}" for r, c, v in matrix.sorted_entries())
+    return "\n".join(f"{r + 1} {c + 1} {v}" for (r, c), v in sorted(matrix.entries.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,8 @@ __all__ = [
     "log_kappa",
     "omega",
     "coefficient_bound",
-    "error_envelope",
     "log_error_envelope",
     "convergence_ratio",
-    "EnvelopeOverflowError",
     "EnvelopeDepthError",
     "RESIDUAL_TOL",
     "TAIL_RELATIVE_CUTOFF",
@@ -77,7 +75,6 @@ RESIDUAL_TOL = 1e-13
 TAIL_RELATIVE_CUTOFF = 1e-18
 TAIL_TERM_CAP = 10**6
 
-_OVERFLOW_LOG = math.log(1e306)
 _HALLEY_STEPS = 2  # from the seed below, converged to rounding for a in (1e-300, 1e300)
 _CHUNK_FIRST = 256  # tail chunks double from here up to the cap, which bounds
 _CHUNK_CAP = 2048  # memory and keeps the arrays of a chunk in cache; tail tables
@@ -264,10 +261,6 @@ def _tail_rows(key: tuple, lo: int, hi: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class EnvelopeOverflowError(ValueError):
-    """The certified bound exceeds the linear float range (use the log form)."""
-
-
 class EnvelopeDepthError(ValueError):
     """Tail truncation could not be certified within the configured depth."""
 
@@ -391,30 +384,6 @@ def log_error_envelope(
         return majorant(j, _solve(_majorant_argument(j, *key))[0])
 
     return _certified_tail_log(chunk, ratio, start, max_terms, t)
-
-
-def error_envelope(
-    L: int,
-    lambda_b: int = 1,
-    ell: int = 1,
-    t: float = 1.0,
-    observable_class: str = "density",
-    max_terms: int = TAIL_TERM_CAP,
-) -> float:
-    """Linear-scale certified envelope; see `log_error_envelope`.
-
-    Raises `EnvelopeOverflowError` when the (finite, convergent) bound exceeds
-    the float range; the log form stays available in that regime.
-    """
-    log_e = log_error_envelope(L, lambda_b, ell, t, observable_class, max_terms)
-    if log_e == float("-inf"):
-        return 0.0
-    if log_e > _OVERFLOW_LOG:
-        raise EnvelopeOverflowError(
-            f"bound exceeds overflow guard at t={t} (log value {log_e:.3g}); "
-            "use log_error_envelope"
-        )
-    return math.exp(log_e)
 
 
 def convergence_ratio(L: int, lambda_b: int = 1, ell: int = 1, t: float = 1.0) -> float:

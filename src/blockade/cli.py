@@ -92,6 +92,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             value = value.strip()
             if value.lower() in ("true", "yes"):
                 injected.append(f"--{key}")
+            elif value.lower() in ("false", "no"):
+                continue  # a switch left unset
             else:
                 injected.extend([f"--{key}", value])
     # subcommand first, then config-injected options, then explicit flags
@@ -112,6 +114,10 @@ def _records_payload(args, records: list[dict], header: list[str]) -> None:
 
 
 def cmd_coeffs(args) -> int:
+    if args.format == "json" and args.decimal:
+        raise ValueError("--decimal applies to CSV; --format json keeps exact numerators")
+    if args.observable == "density" and args.d is not None:
+        raise ValueError("--d is read only by --observable correlation")
     model = _model_from(args)
     if args.observable == "density":
         sc = density_coefficients(model, args.jmax)
@@ -156,6 +162,8 @@ def cmd_simulate(args) -> int:
     times = _time_grid(args)
     if args.jmax is not None and not args.overlay_universal:
         raise ValueError("--jmax is read only by --overlay-universal")
+    if args.observable == "g2" and not any(times):
+        raise ValueError("--observable g2 needs a positive time; the grid holds only t = 0")
     if args.window_vs is not None:
         # the window is one CSV row comparing densities; refuse what it would ignore
         if args.format == "json":

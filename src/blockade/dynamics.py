@@ -77,8 +77,6 @@ __all__ = [
     "g2",
     "spectral_checks",
     "universal_window",
-    "evolution_records",
-    "evolution_to_csv",
     "oracle_records",
     "DENSE_DIMENSION_BUDGET",
     "ORACLE_WORK_BUDGET",
@@ -538,19 +536,6 @@ def universal_window(
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
-
-
-def evolution_records(result: EvolutionResult) -> list[dict]:
-    return [
-        {"t": t, "value": v}
-        for t, v in zip(result.times, result.values)
-    ]
-
-
-def evolution_to_csv(result: EvolutionResult) -> list[str]:
-    lines = ["t,value"]
-    lines.extend(f"{t!r},{v!r}" for t, v in zip(result.times, result.values))
-    return lines
 
 
 def oracle_records(result: TaylorOracleResult) -> list[dict]:

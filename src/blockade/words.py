@@ -95,7 +95,6 @@ __all__ = [
     "AdOrderBudgetError",
     "DEFAULT_ORDER_BUDGET",
     "dumps_operator",
-    "loads_operator",
 ]
 
 
@@ -114,7 +113,6 @@ NUM = Letter.NUM
 PROJ = Letter.PROJ
 
 _SYMBOL = {LOWER: "r", RAISE: "rd", NUM: "n", PROJ: "m"}
-_FROM_SYMBOL = {v: k for k, v in _SYMBOL.items()}
 
 # Packed code 2*out + in of each letter (indexed by Letter), and its inverse.
 _CODE = (1, 2, 3, 0)
@@ -741,24 +739,3 @@ def dumps_operator(op: OperatorSum) -> str:
         fields.extend(f"{s}:{_SYMBOL[a]}" for s, a in w)
         lines.append(" ".join(fields))
     return "\n".join(lines)
-
-
-def loads_operator(text: str) -> OperatorSum:
-    """Parse the format written by `dumps_operator`."""
-    terms: dict = {}
-    for raw in text.splitlines():
-        raw = raw.strip()
-        if not raw or raw.startswith("#"):
-            continue
-        fields = raw.split()
-        num, den = fields[0].split("/")
-        coeff = Fraction(int(num), int(den))
-        if coeff.denominator == 1:
-            coeff = coeff.numerator
-        letters = {}
-        for f in fields[1:]:
-            site, sym = f.split(":")
-            letters[int(site)] = _FROM_SYMBOL[sym]
-        w = make_word(letters)
-        terms[w] = terms.get(w, 0) + coeff
-    return OperatorSum(terms)

@@ -299,6 +299,18 @@ class TestConfigFile:
         assert rc == 0
         assert max(int(r["order"]) for r in csv_rows(out)) == 2
 
+    @pytest.mark.parametrize(
+        "value, want",
+        [("yes", repr(-2 / 3)), ("True", repr(-2 / 3)), ("false", "-2/3"), ("no", "-2/3"), ("NO", "-2/3")],
+    )
+    def test_switch_value(self, capsys, tmp_path, value, want):
+        # true/yes set a switch, false/no leave it unset
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"topology = ring\nL = 2\njmax = 2\ndecimal = {value}\n")
+        rc, out = run_cli(capsys, "coeffs", "--config", str(cfg))
+        assert rc == 0
+        assert csv_rows(out)[-1]["value"] == want
+
 
 class TestVerifyCommand:
     def test_reference_drift_detected(self, capsys, monkeypatch):
@@ -528,6 +540,24 @@ class TestRefusals:
                 ("simulate", "--L", "8", "--window-vs", "10", "--epsilon", "-1"),
                 "epsilon must be positive and finite, got -1.0",
             ),
+            (
+                ("coeffs", "--topology", "ring", "--L", "6", "--observable", "density", "--d", "3"),
+                "--d is read only by --observable correlation",
+            ),
+            (
+                ("coeffs", "--topology", "ring", "--L", "2", "--format", "json", "--decimal"),
+                "--decimal applies to CSV; --format json keeps exact numerators",
+            ),
+            (
+                ("simulate", "--L", "8", "--observable", "g2", "--t-start", "0", "--t-stop", "0",
+                 "--t-steps", "1"),
+                "--observable g2 needs a positive time; the grid holds only t = 0",
+            ),
+            (
+                ("simulate", "--L", "8", "--observable", "g2", "--t-start", "0", "--t-stop", "0",
+                 "--t-steps", "4"),
+                "--observable g2 needs a positive time; the grid holds only t = 0",
+            ),
         ],
         ids=[
             "topology", "L", "d", "emit-q", "t-steps", "overlay-jmax", "oracle-infinite",
@@ -539,6 +569,8 @@ class TestRefusals:
             "g2-pair-one-site", "envelope-lambda", "bj-lambda", "ratio-lambda", "envelope-L0",
             "envelope-L-negative", "envelope-word-longer-than-L", "ratio-t-nan", "ratio-t-inf",
             "bj-word-ell0", "window-epsilon-nan", "window-epsilon-negative",
+            "coeffs-density-d", "coeffs-json-decimal",
+            "g2-zero-grid", "g2-repeated-zero-grid",
         ],
     )
     def test_flag_refusals(self, capsys, argv, want):

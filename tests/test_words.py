@@ -28,7 +28,6 @@ from blockade.words import (
     infinite_chain,
     letter_mul,
     line,
-    loads_operator,
     make_word,
     number_operator,
     ring,
@@ -365,24 +364,6 @@ class TestSerialization:
     def test_identity_term(self):
         op = OperatorSum({(): Fraction(-3, 4)})
         assert dumps_operator(op) == "-3/4"
-
-    @given(
-        st.dictionaries(
-            words(3, 3),
-            st.fractions(
-                min_value=-5, max_value=5, max_denominator=40
-            ).filter(lambda f: f != 0),
-            max_size=5,
-        )
-    )
-    @settings(max_examples=60)
-    def test_round_trip(self, terms):
-        op = OperatorSum(terms)
-        assert loads_operator(dumps_operator(op)) == op
-
-    def test_deterministic(self):
-        op = ad_power(number_operator(0), infinite_chain(), 3)
-        assert dumps_operator(op) == dumps_operator(loads_operator(dumps_operator(op)))
 
     @pytest.mark.parametrize(
         "seed, model, top, digest",
