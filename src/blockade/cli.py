@@ -27,6 +27,7 @@ from .dynamics import (
     universal_window,
 )
 from .series import (
+    _record,
     boundary_deficits,
     coefficient_records,
     correlation,
@@ -42,11 +43,24 @@ from .words import AdOrderBudgetError, ModelSpec, ring
 __all__ = ["main"]
 
 
-def _model_from(args) -> ModelSpec:
-    """The lattice named by the flags; `ModelSpec` refuses what it cannot be."""
-    if args.L is None and args.topology in ("ring", "line"):
-        raise ValueError(f"--L is required for topology {args.topology!r}")
-    return ModelSpec(args.topology, args.L, args.lambda_b)
+def _model_from(args, topology=None, L=None) -> ModelSpec:
+    """The lattice named by the flags, with ``topology`` or ``L`` given in
+    their place; `ModelSpec` refuses what it cannot be."""
+    topology = args.topology if topology is None else topology
+    L = args.L if L is None else L
+    if L is None and topology in ("ring", "line"):
+        raise ValueError(f"--L is required for topology {topology!r}")
+    return ModelSpec(topology, L, args.lambda_b)
+
+
+def _read_only_by(args, dest: str, default, read: bool, readers: str) -> None:
+    """Refuse a flag given where it is not read, and give an unset one its
+    default (so the header echoes it as read)."""
+    if getattr(args, dest) is None:
+        setattr(args, dest, default)
+    elif not read:
+        flag = "--lambda" if dest == "lambda_b" else "--" + dest.replace("_", "-")
+        raise ValueError(f"{flag} is read only by {readers}")
 
 
 def _config_echo(args, skip=("func", "config", "output")) -> list[str]:
@@ -105,19 +119,15 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _records_payload(args, records: list[dict], header: list[str]) -> None:
-    if args.format == "json":
-        payload = {"config": _config_echo(args), "records": records}
-        _write(args, json.dumps(payload, indent=2), [])
-    else:
-        _write(args, records_to_csv(records, decimal=args.decimal), header)
+def _write_json(args, **fields) -> None:
+    """The one JSON payload: the echoed configuration, then ``fields``."""
+    _write(args, json.dumps({"config": _config_echo(args), **fields}, indent=2), [])
 
 
 def cmd_coeffs(args) -> int:
     if args.format == "json" and args.decimal:
         raise ValueError("--decimal applies to CSV; --format json keeps exact numerators")
-    if args.observable == "density" and args.d is not None:
-        raise ValueError("--d is read only by --observable correlation")
+    _read_only_by(args, "d", None, args.observable == "correlation", "--observable correlation")
     model = _model_from(args)
     if args.observable == "density":
         sc = density_coefficients(model, args.jmax)
@@ -141,27 +151,23 @@ def cmd_coeffs(args) -> int:
         if model.topology != "line":
             raise ValueError("boundary deficits are an open-chain quantity")
         qs = boundary_deficits(args.jmax, L_probe=max(args.L, 12), blockade_range=args.lambda_b)
-        for j, q in enumerate(qs, 1):
-            records.append(
-                {
-                    "observable": "boundary-deficit",
-                    "topology": "line",
-                    "L": None,
-                    "lambda_b": args.lambda_b,
-                    "order": j,
-                    "numerator": q.numerator if q is not None else 0,
-                    "denominator": q.denominator if q is not None else 0,
-                    "universal": q is not None,
-                }
-            )
-    _records_payload(args, records, _config_echo(args))
+        lattice = ("line", None, args.lambda_b)
+        records += [
+            _record("boundary-deficit", lattice, j, (0, 0) if q is None else q, q is not None)
+            for j, q in enumerate(qs, 1)
+        ]
+    if args.format == "json":
+        _write_json(args, records=records)
+    else:
+        _write(args, records_to_csv(records, decimal=args.decimal), _config_echo(args))
     return 0
 
 
 def cmd_simulate(args) -> int:
+    _read_only_by(args, "d", 2, args.observable != "density", "--observable correlation or g2")
+    _read_only_by(args, "epsilon", 1e-3, args.window_vs is not None, "--window-vs")
+    _read_only_by(args, "jmax", None, args.overlay_universal, "--overlay-universal")
     times = _time_grid(args)
-    if args.jmax is not None and not args.overlay_universal:
-        raise ValueError("--jmax is read only by --overlay-universal")
     if args.observable == "g2" and not any(times):
         raise ValueError("--observable g2 needs a positive time; the grid holds only t = 0")
     if args.window_vs is not None:
@@ -172,11 +178,8 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"--window-vs compares densities, not --observable {args.observable}")
         if args.overlay_universal:
             raise ValueError("--window-vs takes no --overlay-universal")
-        model_a = _model_from(args)
-        args_b = argparse.Namespace(**vars(args))
-        args_b.L = args.window_vs
-        model_b = _model_from(args_b)
-        t_star = universal_window(model_a, model_b, times, args.epsilon)
+        model_b = _model_from(args, L=args.window_vs)
+        t_star = universal_window(_model_from(args), model_b, times, args.epsilon)
         lines = [
             "quantity,value",
             f"first_divergence_time,{t_star if t_star is not None else 'none'}",
@@ -184,11 +187,8 @@ def cmd_simulate(args) -> int:
         _write(args, lines, _config_echo(args))
         return 0
 
-    models = []
-    for topo in args.topology.split(","):
-        sub = argparse.Namespace(**vars(args))
-        sub.topology = topo.strip()
-        models.append((sub.topology, _model_from(sub)))
+    topologies = [topo.strip() for topo in args.topology.split(",")]
+    models = [(topo, _model_from(args, topology=topo)) for topo in topologies]
     if args.overlay_universal:  # refused, if at all, before any evolution or oracle
         if args.observable != "density":
             raise ValueError(f"--overlay-universal needs --observable density, not {args.observable}")
@@ -219,12 +219,7 @@ def cmd_simulate(args) -> int:
         columns.append((f"universal_{jmax}", [eval_even_series(overlay, t) for t in times]))
 
     if args.format == "json":
-        payload = {
-            "config": _config_echo(args),
-            "t": list(times),
-            "columns": {name: vals for name, vals in columns},
-        }
-        _write(args, json.dumps(payload, indent=2), [])
+        _write_json(args, t=list(times), columns=dict(columns))
     else:
         header = ["t"] + [name for name, _ in columns]
         lines = [",".join(header)]
@@ -248,7 +243,22 @@ def _time_grid(args) -> list[float]:
     return [round(start + i * step, 12) for i in range(n)]
 
 
+# the bounds flags with their defaults, by the tables that read them; argparse
+# leaves each unset, so a flag given to a table that ignores it is refused
+_BOUNDS_FLAGS = (
+    (("kappa",), {"amax": 100}),
+    (("bj",), {"jmax": 20}),
+    (("bj", "envelope"), {"cls": "density"}),
+    (("bj", "envelope", "ratio"), {"ell": 1, "lambda_b": 1}),
+    (("envelope",), {"L": None, "t_start": 0.0, "t_stop": 2.0, "t_steps": 41}),
+    (("ratio",), {"t": 1.0, "Lmin": 10, "Lmax": 40}),
+)
+
+
 def cmd_bounds(args) -> int:
+    for tables, defaults in _BOUNDS_FLAGS:
+        for dest, default in defaults.items():
+            _read_only_by(args, dest, default, args.table in tables, "--table " + ", ".join(tables))
     if args.table == "kappa":
         lines = ["a,tau,omega,log_kappa"]
         for a in range(1, args.amax + 1):
@@ -284,22 +294,10 @@ def cmd_verify(args) -> int:
     from .verify import run_all
 
     results = run_all(quick=args.quick)
-    failed = 0
     for r in results:
-        line_out = f"{r.criterion} {r.status():5s} {r.name}"
-        if r.details:
-            line_out += "  | " + "; ".join(r.details)
-        print(line_out)
-        if r.skipped:
-            continue
-        if r.expected_failure:
-            # a documented-impossible check: red is the expected, honest state
-            if r.passed:
-                failed += 1  # unexpectedly green means something changed
-            continue
-        if not r.passed:
-            failed += 1
-    total = sum(1 for r in results if not r.skipped)
+        print(r)
+    failed = sum(not r.as_expected for r in results)
+    total = sum(not r.skipped for r in results)
     print(f"\n{total - failed}/{total} checks in the expected state")
     return 1 if failed else 0
 
@@ -347,30 +345,30 @@ def _run(argv: list[str]) -> int:
     p = sub.add_parser("simulate", help="exact time evolution data")
     add_common(p)
     p.add_argument("--observable", choices=("density", "correlation", "g2"), default="density")
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int)
     p.add_argument("--t-start", type=float, default=0.0)
     p.add_argument("--t-stop", type=float, default=2.0)
     p.add_argument("--t-steps", type=int, default=101)
     p.add_argument("--jmax", type=int, default=None, help="overlay truncation order (default: the certified-universal threshold)")
     p.add_argument("--overlay-universal", action="store_true", help="add a column with the truncated size-free series")
     p.add_argument("--window-vs", type=int, default=None, help="report the first time the density differs from this lattice size")
-    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--epsilon", type=float)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bounds", help="bound tables and certified envelopes")
     add_common(p, lattice_output=False)
     p.add_argument("--table", choices=("kappa", "bj", "envelope", "ratio"), default="kappa")
-    p.add_argument("--amax", type=int, default=100)
-    p.add_argument("--jmax", type=int, default=20)
-    p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--cls", choices=("density", "word"), default="density")
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--t-start", type=float, default=0.0)
-    p.add_argument("--t-stop", type=float, default=2.0)
-    p.add_argument("--t-steps", type=int, default=41)
-    p.add_argument("--Lmin", type=int, default=10)
-    p.add_argument("--Lmax", type=int, default=40)
-    p.set_defaults(func=cmd_bounds)
+    p.add_argument("--amax", type=int)
+    p.add_argument("--jmax", type=int)
+    p.add_argument("--ell", type=int)
+    p.add_argument("--cls", choices=("density", "word"))
+    p.add_argument("--t", type=float)
+    p.add_argument("--t-start", type=float)
+    p.add_argument("--t-stop", type=float)
+    p.add_argument("--t-steps", type=int)
+    p.add_argument("--Lmin", type=int)
+    p.add_argument("--Lmax", type=int)
+    p.set_defaults(func=cmd_bounds, lambda_b=None)  # defaults in _BOUNDS_FLAGS
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--quick", action="store_true", help="skip the large-lattice dense evolution")

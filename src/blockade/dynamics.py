@@ -59,6 +59,7 @@ from .basis import _sector, _symmetries, blockade_dimension
 from .series import (
     ObservableSpec,
     _observable_word,
+    _record,
     correlation,
     correlation_base_site,
     density,
@@ -541,20 +542,9 @@ def universal_window(
 def oracle_records(result: TaylorOracleResult) -> list[dict]:
     """JSON records in the same schema as the symbolic coefficient export,
     tagged with their origin."""
-    model = result.model
-    out = []
-    for j, c in enumerate(result.coefficients, start=1):
-        out.append(
-            {
-                "observable": str(result.observable),
-                "topology": model.topology,
-                "L": model.size,
-                "lambda_b": model.blockade_range,
-                "order": 2 * j,
-                "numerator": c.numerator,
-                "denominator": c.denominator,
-                "universal": False,
-                "source": "matrix-oracle",
-            }
-        )
-    return out
+    m = result.model
+    lattice = (m.topology, m.size, m.blockade_range)
+    return [
+        _record(result.observable, lattice, 2 * j, c, False, source="matrix-oracle")
+        for j, c in enumerate(result.coefficients, start=1)
+    ]

@@ -46,6 +46,7 @@ from .words import (
     ModelSpec,
     OperatorSum,
     Word,
+    _spell,
     canonicalize,
     class_commutator_expectation,
     commutator_classes,
@@ -101,10 +102,7 @@ class ObservableSpec:
             return f"number[{self.site}]"
         if self.kind == "correlation":
             return f"correlation[d={self.distance}]"
-        from .words import _SYMBOL  # avoid a public re-export just for printing
-
-        body = " ".join(f"{s}:{_SYMBOL[a]}" for s, a in self.word)
-        return f"word[{body or '1'}]"
+        return f"word[{_spell(self.word) or '1'}]"
 
 
 def density() -> ObservableSpec:
@@ -454,25 +452,33 @@ def eval_even_series(coefficients, t: float) -> float:
     return _horner([0] + [x for c in coefficients for x in (0, c)], t)
 
 
+def _record(observable, lattice, order: int, value, universal: bool, **extra) -> dict:
+    """The one coefficient row: ``lattice`` is (topology, L, lambda_b) and
+    ``value`` a Fraction or a (numerator, denominator) pair; ``extra`` keys
+    follow ``universal``."""
+    topology, size, blockade_range = lattice
+    numerator, denominator = value if isinstance(value, tuple) else (value.numerator, value.denominator)
+    return {
+        "observable": str(observable),
+        "topology": topology,
+        "L": size,
+        "lambda_b": blockade_range,
+        "order": order,
+        "numerator": numerator,
+        "denominator": denominator,
+        "universal": universal,
+        **extra,
+    }
+
+
 def coefficient_records(coeffs: SeriesCoefficients) -> list[dict]:
     """One JSON-ready record per stored order."""
-    model = coeffs.model
-    out = []
-    for n in range(coeffs.max_order + 1):
-        v = Fraction(coeffs.values[n])
-        out.append(
-            {
-                "observable": str(coeffs.observable),
-                "topology": model.topology,
-                "L": model.size,
-                "lambda_b": model.blockade_range,
-                "order": n,
-                "numerator": v.numerator,
-                "denominator": v.denominator,
-                "universal": coeffs.is_universal(n),
-            }
-        )
-    return out
+    m = coeffs.model
+    lattice = (m.topology, m.size, m.blockade_range)
+    return [
+        _record(coeffs.observable, lattice, n, Fraction(v), coeffs.is_universal(n))
+        for n, v in enumerate(coeffs.values)
+    ]
 
 
 def records_to_csv(records: list[dict], decimal: bool = False) -> list[str]:

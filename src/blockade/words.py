@@ -114,6 +114,12 @@ PROJ = Letter.PROJ
 
 _SYMBOL = {LOWER: "r", RAISE: "rd", NUM: "n", PROJ: "m"}
 
+
+def _spell(word) -> str:
+    """The ``site:letter`` text of a word, e.g. ``0:r 1:n`` ("" for the identity)."""
+    return " ".join(f"{s}:{_SYMBOL[a]}" for s, a in word)
+
+
 # Packed code 2*out + in of each letter (indexed by Letter), and its inverse.
 _CODE = (1, 2, 3, 0)
 _LETTER_OF = (PROJ, LOWER, RAISE, NUM)
@@ -398,21 +404,10 @@ class OperatorSum:
         """Hermitian adjoint; rational coefficients are their own conjugates."""
         return OperatorSum({word_adjoint(w): c for w, c in self.terms.items()})
 
-    def support(self) -> tuple[int, ...]:
-        """Sorted sites carrying at least one letter in at least one term."""
-        sites = set()
-        for w in self.terms:
-            sites.update(s for s, _ in w)
-        return tuple(sorted(sites))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "OperatorSum(0)"
-        bits = []
-        for w in sorted(self.terms):
-            c = self.terms[w]
-            body = " ".join(f"{s}:{_SYMBOL[a]}" for s, a in w) or "1"
-            bits.append(f"{c}*{body}")
+        bits = [f"{self.terms[w]}*{_spell(w) or '1'}" for w in sorted(self.terms)]
         return "OperatorSum(" + " + ".join(bits) + ")"
 
 
@@ -735,7 +730,5 @@ def dumps_operator(op: OperatorSum) -> str:
     lines = []
     for w in sorted(op.terms):
         c = Fraction(op.terms[w])
-        fields = [f"{c.numerator}/{c.denominator}"]
-        fields.extend(f"{s}:{_SYMBOL[a]}" for s, a in w)
-        lines.append(" ".join(fields))
+        lines.append(f"{c.numerator}/{c.denominator} {_spell(w)}".rstrip())
     return "\n".join(lines)

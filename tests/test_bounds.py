@@ -581,6 +581,16 @@ class TestDomain:
         # the density does not read ell
         assert math.isfinite(bounds.coefficient_bound(j, 1, ell, "density"))
 
+    def test_unknown_observable_class(self):
+        with pytest.raises(ValueError) as err:
+            bounds.coefficient_bound(1, 1, 1, "bogus")
+        assert str(err.value) == "unknown observable class 'bogus'"
+
+    def test_envelope_time_must_be_finite(self):
+        with pytest.raises(ValueError) as err:
+            bounds.log_error_envelope(18, 1, 1, float("nan"))
+        assert str(err.value) == "time must be finite"
+
     @pytest.mark.parametrize("lam", [1, 2, 3])
     def test_tail_starts_past_the_universal_column(self, lam, monkeypatch):
         # the envelope sums exactly the orders the series does not certify

@@ -103,6 +103,17 @@ class TestCoeffs:
         assert payload["config"]
         assert payload["records"][2]["numerator"] == 1
 
+    def test_json_is_byte_identical_to_golden(self, capsys):
+        # pins the record key order: the series rows, the oracle tag and the
+        # deficit rows with their null L
+        rc, out = run_cli(
+            capsys,
+            "coeffs", "--topology", "line", "--L", "12", "--jmax", "3", "--emit-q",
+            "--with-oracle", "--format", "json",
+        )
+        assert rc == 0
+        assert out == (GOLDEN / "coeffs_line12_q_oracle.json").read_text()
+
     def test_decimal_mode(self, capsys):
         _, out = run_cli(
             capsys,
@@ -152,6 +163,19 @@ class TestSimulate:
         assert rc == 0
         header = [l for l in out.splitlines() if l and not l.startswith("#")][0]
         assert header == "t,density_ring,density_line,universal_3"
+
+    def test_json_columns_equal_the_csv(self, capsys):
+        argv = ("simulate", "--topology", "ring,line", "--L", "8", "--overlay-universal", "--jmax", "3")
+        _, csv_out = run_cli(capsys, *argv)
+        rc, out = run_cli(capsys, *argv, "--format", "json")
+        assert rc == 0
+        payload = json.loads(out)
+        assert set(payload) == {"config", "t", "columns"}
+        assert list(payload["columns"]) == ["density_ring", "density_line", "universal_3"]
+        rows = csv_rows(csv_out)
+        assert payload["t"] == [float(r["t"]) for r in rows]
+        for name, values in payload["columns"].items():
+            assert values == [float(r[name]) for r in rows]
 
     def test_overlay_defaults_to_certified_threshold(self, capsys):
         rc, out = run_cli(
@@ -311,6 +335,13 @@ class TestConfigFile:
         assert rc == 0
         assert csv_rows(out)[-1]["value"] == want
 
+    def test_blank_and_comment_lines_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a two-site ring\n\ntopology = ring\n   \n  # L = 9\nL = 2\njmax = 2\n")
+        rc, out = run_cli(capsys, "coeffs", "--config", str(cfg))
+        assert rc == 0
+        assert "# L = 2" in out and csv_rows(out)[-1]["value"] == "-2/3"
+
 
 class TestVerifyCommand:
     def test_reference_drift_detected(self, capsys, monkeypatch):
@@ -329,6 +360,34 @@ class TestVerifyCommand:
         rc, out = run_cli(capsys, "verify", "--quick")
         assert rc == 0
         assert "PASS" in out and "FAIL" not in out
+
+    PASS = verify.CheckResult("C1", "a check", True)
+    IMPOSSIBLE = verify.CheckResult("C5", "a documented impossibility", False, ["why"], True)
+    SKIP = verify.CheckResult("C7", "a skipped check", False, skipped=True)
+
+    @pytest.mark.parametrize(
+        "results, rc, summary",
+        [
+            ([PASS, IMPOSSIBLE, SKIP], 0, "2/2 checks in the expected state"),
+            ([PASS, verify.CheckResult("C5", "green impossibility", True, [], True)], 1,
+             "1/2 checks in the expected state"),
+            ([PASS, verify.CheckResult("C2", "a plain failure", False)], 1,
+             "1/2 checks in the expected state"),
+        ],
+        ids=["pass-xfail-skip", "unexpected-pass", "plain-failure"],
+    )
+    def test_expected_state(self, capsys, monkeypatch, results, rc, summary):
+        monkeypatch.setattr(verify, "run_all", lambda quick: results)
+        got, out = run_cli(capsys, "verify", "--quick")
+        assert got == rc
+        lines = out.splitlines()
+        assert lines[: len(results)] == [str(r) for r in results]
+        assert lines[-1] == summary
+
+    def test_printed_lines(self):
+        assert str(self.PASS) == "C1 PASS  a check"
+        assert str(self.IMPOSSIBLE) == "C5 XFAIL a documented impossibility  | why"
+        assert str(self.SKIP) == "C7 SKIP  a skipped check"
 
 
 class TestRefusals:
@@ -558,6 +617,22 @@ class TestRefusals:
                  "--t-steps", "4"),
                 "--observable g2 needs a positive time; the grid holds only t = 0",
             ),
+            (("simulate", "--L", "6", "--t-steps", "2", "--d", "5"),
+             "--d is read only by --observable correlation or g2"),
+            (("simulate", "--L", "6", "--t-steps", "2", "--epsilon", "5"), "--epsilon is read only by --window-vs"),
+            (("bounds", "--table", "ratio", "--amax", "2"), "--amax is read only by --table kappa"),
+            (("bounds", "--table", "kappa", "--amax", "2", "--L", "5", "--jmax", "3", "--t", "9"),
+             "--jmax is read only by --table bj"),
+            (("bounds", "--table", "bj", "--t", "9"), "--t is read only by --table ratio"),
+            (("bounds", "--table", "envelope", "--L", "5", "--Lmin", "3"), "--Lmin is read only by --table ratio"),
+            (("bounds", "--table", "kappa", "--Lmax", "30"), "--Lmax is read only by --table ratio"),
+            (("bounds", "--table", "ratio", "--t-start", "1"), "--t-start is read only by --table envelope"),
+            (("bounds", "--table", "bj", "--t-stop", "1"), "--t-stop is read only by --table envelope"),
+            (("bounds", "--table", "kappa", "--t-steps", "3"), "--t-steps is read only by --table envelope"),
+            (("bounds", "--table", "kappa", "--ell", "2"), "--ell is read only by --table bj, envelope, ratio"),
+            (("bounds", "--table", "ratio", "--cls", "word"), "--cls is read only by --table bj, envelope"),
+            (("bounds", "--table", "kappa", "--lambda", "2"), "--lambda is read only by --table bj, envelope, ratio"),
+            (("bounds", "--table", "bj", "--L", "5"), "--L is read only by --table envelope"),
         ],
         ids=[
             "topology", "L", "d", "emit-q", "t-steps", "overlay-jmax", "oracle-infinite",
@@ -571,6 +646,9 @@ class TestRefusals:
             "bj-word-ell0", "window-epsilon-nan", "window-epsilon-negative",
             "coeffs-density-d", "coeffs-json-decimal",
             "g2-zero-grid", "g2-repeated-zero-grid",
+            "simulate-density-d", "simulate-epsilon-without-window", "bounds-amax", "bounds-jmax",
+            "bounds-t", "bounds-Lmin", "bounds-Lmax", "bounds-t-start", "bounds-t-stop",
+            "bounds-t-steps", "bounds-ell", "bounds-cls", "bounds-lambda", "bounds-L",
         ],
     )
     def test_flag_refusals(self, capsys, argv, want):

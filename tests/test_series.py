@@ -321,6 +321,15 @@ class TestBounds:
             assert math.log(abs(c)) <= bounds.coefficient_bound(j, 1, 1, "density")
 
 
+class TestObservableText:
+    def test_names(self):
+        assert str(density()) == "density"
+        assert str(local_number(3)) == "number[3]"
+        assert str(correlation(2)) == "correlation[d=2]"
+        assert str(general_word(make_word({0: LOWER, 2: NUM}))) == "word[0:r 2:n]"
+        assert str(general_word(())) == "word[1]"
+
+
 class TestExport:
     def test_records_shape(self):
         sc = density_coefficients(ring(4), 2)

@@ -18,6 +18,7 @@ from blockade.words import (
     RAISE,
     AdOrderBudgetError,
     Letter,
+    ModelSpec,
     OperatorSum,
     ad_power,
     adjoint,
@@ -202,6 +203,23 @@ class TestHamiltonianTerms:
                 )
         assert ring(3, 2).size == 3 and ring(4, 3).size == 4
 
+    @pytest.mark.parametrize(
+        "spec, want",
+        [
+            (("ring", 5, 0), "blockade_range must be an integer >= 1"),
+            (("ring", 5, 1.5), "blockade_range must be an integer >= 1"),
+            (("infinite", 5), "infinite chain takes no size"),
+            (("line", 5.0), "finite lattice needs an integer size"),
+            (("ring", None), "finite lattice needs an integer size"),
+            (("line", 0), "line needs at least 1 site, got 0"),
+        ],
+        ids=["range-0", "range-1.5", "infinite-sized", "float-size", "no-size", "empty-line"],
+    )
+    def test_model_domain(self, spec, want):
+        with pytest.raises(ValueError) as err:
+            ModelSpec(*spec)
+        assert str(err.value) == want
+
     def test_infinite_needs_lazy_terms(self):
         with pytest.raises(ValueError):
             hamiltonian_terms(infinite_chain())
@@ -270,6 +288,10 @@ class TestAdPower:
             }
         )
         assert got == want
+
+    def test_negative_order_refused(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            ad_power(number_operator(0), infinite_chain(), -1)
 
     def test_order_budget_refusal(self):
         with pytest.raises(AdOrderBudgetError) as err:
